@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
-from .forms import InvariantForm, Monomial, sigma, wedge
+from .forms import InvariantForm, Monomial, sigma
 from .lie import StructurePresentation, complexify_real_presentation
 from .scalars import EXACT, FLOAT, GaussRational
 
@@ -66,6 +65,7 @@ class CatalogEntry:
     constraint_doc: str = ""
     provenance: str = ""
     label: str = ""
+    backend: str = EXACT
 
     def defaults(self) -> dict:
         return {p.name: p.default for p in self.params}
@@ -477,6 +477,7 @@ CATALOG["s1-pi2"] = CatalogEntry(
     provenance="2-step solvable semidirect product R x (R x R^2 x R^2), "
     "rotation angle pi/2",
     label="solvable",
+    backend=FLOAT,
 )
 
 

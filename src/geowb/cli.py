@@ -19,7 +19,7 @@ import click
 
 from . import catalog as cat
 from . import existence, metrics, positivity, scalars
-from .forms import InvariantForm, form_from_json, form_to_json
+from .forms import form_from_json
 from .lie import presentation_from_json, presentation_to_json
 from .scalars import EXACT, FLOAT, GaussRational
 
@@ -28,7 +28,6 @@ DEFAULT_SEED = 20240
 
 @dataclass
 class RunConfig:
-    backend: str = EXACT
     epsilon: float = scalars.DEFAULT_EPS
     samples: int = 10000
     seed: int = DEFAULT_SEED
@@ -52,7 +51,7 @@ def _load_json(path: str) -> dict:
 def _float_rejected(value) -> InputError:
     return InputError(
         f"float {value} cannot enter an exact computation; "
-        "pass \"p/q\" strings or use --backend float"
+        "pass an exact \"p/q\" string instead"
     )
 
 
@@ -111,8 +110,7 @@ def _resolve_structure(spec: str, params_path: str | None = None):
             raise InputError(f"bad structure file {spec}: {exc}") from exc
     if spec in cat.CATALOG:
         entry = cat.entry(spec)
-        backend = FLOAT if spec == "s1-pi2" else EXACT
-        params = _load_params(params_path, backend)
+        params = _load_params(params_path, entry.backend)
         try:
             return entry.instantiate(**params)
         except (ValueError, TypeError) as exc:
@@ -164,8 +162,6 @@ def _guard(func):
 
 
 @click.group()
-@click.option("--backend", type=click.Choice([EXACT, FLOAT]), default=EXACT,
-              show_default=True, help="scalar backend for new objects")
 @click.option("--epsilon", type=float, default=scalars.DEFAULT_EPS,
               show_default=True, help="absolute tolerance on the float backend")
 @click.option("--samples", type=int, default=10000, show_default=True,
@@ -174,7 +170,7 @@ def _guard(func):
               help=f"RNG seed (falls back to GEOWB_SEED, then {DEFAULT_SEED})")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 @click.pass_context
-def main(ctx, backend, epsilon, samples, seed, as_json):
+def main(ctx, epsilon, samples, seed, as_json):
     """Invariant-form calculus on complex nilmanifolds and solvmanifolds."""
     if samples <= 0:
         raise click.UsageError("--samples must be positive")
@@ -184,8 +180,7 @@ def main(ctx, backend, epsilon, samples, seed, as_json):
         env = os.environ.get("GEOWB_SEED")
         seed = int(env) if env else DEFAULT_SEED
     ctx.obj = RunConfig(
-        backend=backend, epsilon=epsilon, samples=samples, seed=seed,
-        as_json=as_json,
+        epsilon=epsilon, samples=samples, seed=seed, as_json=as_json
     )
 
 
@@ -303,8 +298,9 @@ def classify_metric(config, structure, metric_spec, params_path):
 @click.option("--structure", "structure", default=None, type=str,
               help="optional structure context (for rank/backend only)")
 @click.option("--omega-a", "omega_a", default=None, type=str,
-              help="test the rank-4 quadric family member with this a "
-                   "(e.g. '3/2' or '1+1i' as re,im pair 're/1 im/1')")
+              help="test the rank-4 quadric family member with this rational "
+                   "a (an integer, p/q or an exact decimal), e.g. '3/2', "
+                   "'-5/2' or '0.25'")
 @click.option("--quadric/--no-quadric", default=None,
               help="force or forbid the rank-4 quadric path for (2,2)-forms")
 @click.pass_obj
@@ -578,6 +574,8 @@ def bc_dims(config, structure, params_path):
 def ddbar_lemma(config, structure, p_value, q_value, params_path):
     """Invariant-level del-delbar lemma check at one bidegree."""
     pres = _resolve_structure(structure, params_path)
+    if not (0 <= p_value <= pres.n and 0 <= q_value <= pres.n):
+        raise InputError(f"bidegree ({p_value},{q_value}) out of range for rank {pres.n}")
     holds = existence.invariant_ddbar_lemma_check(pres, p_value, q_value)
     lines = [
         f"structure: {pres.name or structure}",

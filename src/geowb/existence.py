@@ -4,8 +4,8 @@ Three closure problems recur for the built-in nilpotent families: an
 ansatz ``Psi = lambda + fixed + conjugate(lambda)`` with ``fixed`` a real
 (p, p)-form (typically omega^p of a positive-definite metric) and
 ``lambda`` a combination of off-diagonal monomials with free complex
-coefficients.  ``closure_system`` solves ``d Psi = 0`` exactly as a real
-linear system in the free coefficients; the families' scalar conditions
+coefficients.  ``closure_system`` solves ``d Psi = 0`` as a real linear
+system in the free coefficients; the families' scalar conditions
 (``fps_psymplectic_condition`` and friends) are literal transcriptions of
 the closed-form answer and are cross-checked against the solver in the
 test suite -- disagreement between formula and solver is a hard failure.
@@ -29,6 +29,12 @@ quadric on a pencil) and verifies user certificates elsewhere.
 
 All cohomological statements here are invariant-level only and the
 reports say so: they concern the finite complex of invariant forms.
+
+Linear algebra: every matrix here is built by ``linalg.operator_matrix``
+and reduced by the presentation's backend object from
+``linalg.for_backend`` -- exact elimination over Q[i] on the exact
+backend, numpy under one rank rule on the float backend -- so each routine
+has a single code path for both backends.
 """
 
 from __future__ import annotations
@@ -43,9 +49,10 @@ from . import catalog as _catalog
 from . import linalg, scalars
 from .forms import InvariantForm, Monomial, bidegree_basis, wedge
 from .lie import StructurePresentation
+from .linalg import operator_matrix
 from .metrics import HermitianMetric, form_power, fundamental_form
 from .positivity import SimpleForm, is_decomposable
-from .scalars import EXACT, FLOAT, GaussRational
+from .scalars import GaussRational
 
 
 def _gr(x) -> GaussRational:
@@ -58,14 +65,12 @@ def _conj(x):
     return scalars.conj(x)
 
 
-def _abs2(x):
-    if isinstance(x, GaussRational):
-        return x.abs2()
-    return (x * x.conjugate()).real if isinstance(x, complex) else x * x
+def _unit_forms(pres: StructurePresentation, basis) -> list[InvariantForm]:
+    return [InvariantForm(pres.n, {m: 1}, pres.backend) for m in basis]
 
 
-def _re(x):
-    return scalars.real_part(x)
+def _vector_form(pres: StructurePresentation, basis, vector) -> InvariantForm:
+    return InvariantForm(pres.n, dict(zip(basis, vector)), pres.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -160,99 +165,37 @@ def closure_system(
         names = tuple(names)
 
     backend = pres.backend
+    la = linalg.for_backend(backend)
+    i_unit = scalars.i_power(1, backend)
+    # lambda = sum_i (x_i + i y_i) mu_i: x_i multiplies mu_i + conj(mu_i),
+    # y_i multiplies i (mu_i - conj(mu_i)); both are real forms
+    columns = []
+    for mu in _unit_forms(pres, basis):
+        mu_bar = mu.conjugate()
+        columns += [mu + mu_bar, (mu - mu_bar).scale(i_unit)]
+    targets = _degree_basis(n, 2 * p + 1)
+    matrix = operator_matrix(pres.d, columns, targets, backend)
     d_fixed = pres.d(fixed)
-    d_mu = [pres.d(InvariantForm(n, {m: 1}, backend)) for m in basis]
-    d_mu_bar = [
-        pres.d(InvariantForm(n, {m: 1}, backend).conjugate()) for m in basis
+    rhs = [-d_fixed.coeff(m) for m in targets]
+    rows = [[scalars.real_part(x) for x in row] for row in matrix] + [
+        [scalars.imag_part(x) for x in row] for row in matrix
     ]
+    real_rhs = [scalars.real_part(b) for b in rhs] + [scalars.imag_part(b) for b in rhs]
 
-    support: set[Monomial] = set(d_fixed.terms)
-    for f in itertools.chain(d_mu, d_mu_bar):
-        support.update(f.terms)
-    targets = sorted(support, key=lambda m: (m.holo, m.anti))
-    m_count = len(basis)
+    def complex_coefficients(v):
+        return tuple(
+            scalars.from_parts(v[2 * i], v[2 * i + 1], backend) for i in range(len(basis))
+        )
 
-    if backend == EXACT:
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for mono in targets:
-            k = _gr(d_fixed.coeff(mono))
-            row_re: list[Fraction] = []
-            row_im: list[Fraction] = []
-            for i in range(m_count):
-                a = _gr(d_mu[i].coeff(mono))
-                b = _gr(d_mu_bar[i].coeff(mono))
-                # coefficient of x_i is a + b, of y_i is i(a - b)
-                cx = a + b
-                cy = GaussRational(0, 1) * (a - b)
-                row_re.extend([cx.re, cy.re])
-                row_im.extend([cx.im, cy.im])
-            rows.append(row_re)
-            rhs.append(-k.re)
-            rows.append(row_im)
-            rhs.append(-k.im)
-        particular_raw = linalg.solve(rows, rhs) if rows else []
-        kernel_raw = linalg.nullspace(rows) if rows else []
-        if not rows:
-            # no constraints at all: the whole coefficient space solves
-            particular_raw = [Fraction(0)] * (2 * m_count)
-            kernel_raw = [
-                [Fraction(1 if j == i else 0) for j in range(2 * m_count)]
-                for i in range(2 * m_count)
-            ]
-        if particular_raw is None:
-            return AnsatzSolution(pres, p, fixed, basis, names, None, ())
-        particular = tuple(
-            GaussRational(particular_raw[2 * i], particular_raw[2 * i + 1])
-            for i in range(m_count)
-        )
-        kernel = tuple(
-            tuple(GaussRational(v[2 * i], v[2 * i + 1]) for i in range(m_count))
-            for v in kernel_raw
-        )
-        return AnsatzSolution(pres, p, fixed, basis, names, particular, kernel)
-
-    # float path: least squares + svd kernel
-    a_rows = []
-    b_vals = []
-    for mono in targets:
-        k = complex(d_fixed.coeff(mono))
-        row_re = []
-        row_im = []
-        for i in range(m_count):
-            a = complex(d_mu[i].coeff(mono))
-            b = complex(d_mu_bar[i].coeff(mono))
-            cx = a + b
-            cy = 1j * (a - b)
-            row_re.extend([cx.real, cy.real])
-            row_im.extend([cx.imag, cy.imag])
-        a_rows.extend([row_re, row_im])
-        b_vals.extend([-k.real, -k.imag])
-    if not a_rows:
-        particular = tuple(0j for _ in range(m_count))
-        kernel = tuple(
-            tuple(1 + 0j if j == i else 0j for j in range(m_count))
-            for i in range(m_count)
-        ) + tuple(
-            tuple(1j if j == i else 0j for j in range(m_count))
-            for i in range(m_count)
-        )
-        return AnsatzSolution(pres, p, fixed, basis, names, particular, kernel)
-    amat = np.array(a_rows, dtype=float)
-    bvec = np.array(b_vals, dtype=float)
-    sol, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
-    residual = float(np.linalg.norm(amat @ sol - bvec))
-    if residual > 1e-8:
+    particular = la.solve(rows, real_rhs, 2 * len(basis))
+    if particular is None:
         return AnsatzSolution(pres, p, fixed, basis, names, None, ())
-    particular = tuple(complex(sol[2 * i], sol[2 * i + 1]) for i in range(m_count))
-    _, s, vt = np.linalg.svd(amat)
-    rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
-    kernel_vectors = vt[rank:]
     kernel = tuple(
-        tuple(complex(v[2 * i], v[2 * i + 1]) for i in range(m_count))
-        for v in kernel_vectors
+        complex_coefficients(v) for v in la.nullspace(rows, 2 * len(basis))
     )
-    return AnsatzSolution(pres, p, fixed, basis, names, particular, kernel)
+    return AnsatzSolution(
+        pres, p, fixed, basis, names, complex_coefficients(particular), kernel
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +506,7 @@ def verify_obstruction_certificate(
         coeff = scalars.to_scalar(coeff, pres.backend)
         im = scalars.imag_part(coeff)
         re = scalars.real_part(coeff)
-        if not scalars.is_zero(
-            coeff - scalars.to_scalar(re, pres.backend)
-            if pres.backend == EXACT
-            else complex(im),
-            tol,
-        ):
+        if not scalars.is_zero(scalars.to_scalar(im, pres.backend), tol):
             return CertificateReport(
                 False, "", [f"coefficient {scalars.format_scalar(coeff)} is not real"]
             )
@@ -674,9 +612,7 @@ def _diagonal_certificate(pres, p, mode, beta, tol):
             return None
         re = scalars.real_part(coeff)
         im = scalars.imag_part(coeff)
-        if not scalars.is_zero(
-            GaussRational(0, im) if pres.backend == EXACT else complex(0, im), tol
-        ):
+        if not scalars.is_zero(scalars.to_scalar(im, pres.backend), tol):
             return None
         signs.add(1 if re > 0 else -1)
         sf = SimpleForm.coordinate(
@@ -747,33 +683,17 @@ def exact_simple_holomorphic_search(
                 "has a component outside (2,0)"
             )
 
-    images = []
-    for mono in bidegree_basis(n, q - 1, 0):
-        img = pres.d(InvariantForm(n, {mono: 1}, pres.backend))
-        if not img.is_zero():
-            images.append(img)
-    basis_monos = bidegree_basis(n, q, 0)
-    index = {m: i for i, m in enumerate(basis_monos)}
-    columns = []
-    for img in images:
-        col = [_gr(0)] * len(basis_monos)
-        for m, c in img.terms.items():
-            col[index[m]] = _gr(c)
-        columns.append(col)
-    v_basis_vectors = linalg.column_space_basis(columns)
-    dim_v = len(v_basis_vectors)
-
-    def vec_to_form(vec) -> InvariantForm:
-        return InvariantForm(
-            n,
-            {basis_monos[i]: c for i, c in enumerate(vec) if c},
-            pres.backend,
-        )
-
-    v_forms = [vec_to_form(v) for v in v_basis_vectors]
+    sources = _unit_forms(pres, bidegree_basis(n, q - 1, 0))
+    targets = bidegree_basis(n, q, 0)
+    la = linalg.for_backend(pres.backend)
+    d_matrix = operator_matrix(pres.d, sources, targets, pres.backend)
+    # the first images that span V, in source order
+    pivots = la.pivot_columns(d_matrix)
+    dim_v = len(pivots)
+    v_forms = [pres.d(sources[c]) for c in pivots]
 
     if xi is not None:
-        return _verify_simple_certificate(pres, q, xi, v_basis_vectors, basis_monos, dim_v)
+        return _verify_simple_certificate(pres, q, xi, d_matrix, targets, dim_v)
 
     if dim_v == 0:
         return SimpleSearchVerdict(
@@ -831,8 +751,7 @@ def exact_simple_holomorphic_search(
     )
 
 
-def _verify_simple_certificate(pres, q, xi, v_basis_vectors, basis_monos, dim_v):
-    n = pres.n
+def _verify_simple_certificate(pres, q, xi, d_matrix, targets, dim_v):
     if xi.is_zero():
         return SimpleSearchVerdict("undecided", "certificate xi is zero", dim_v)
     if xi.terms and xi.bidegree() != (q, 0):
@@ -840,17 +759,9 @@ def _verify_simple_certificate(pres, q, xi, v_basis_vectors, basis_monos, dim_v)
             "undecided", f"certificate must be a ({q},0)-form", dim_v
         )
     # exactness: xi = d(alpha) for some (q-1,0) alpha
-    source = bidegree_basis(n, q - 1, 0)
-    index = {m: i for i, m in enumerate(basis_monos)}
-    matrix = [[_gr(0)] * len(source) for _ in basis_monos]
-    for c_idx, mono in enumerate(source):
-        img = pres.d(InvariantForm(n, {mono: 1}, pres.backend))
-        for m, coeff in img.terms.items():
-            matrix[index[m]][c_idx] = _gr(coeff)
-    rhs = [_gr(0)] * len(basis_monos)
-    for m, coeff in xi.terms.items():
-        rhs[index[m]] = _gr(coeff)
-    if linalg.solve(matrix, rhs) is None:
+    rhs = [xi.coeff(m) for m in targets]
+    ncols = len(d_matrix[0])  # targets is never empty for 1 <= q <= n
+    if linalg.for_backend(pres.backend).solve(d_matrix, rhs, ncols) is None:
         return SimpleSearchVerdict(
             "undecided", "certificate xi is not d-exact", dim_v
         )
@@ -956,23 +867,6 @@ def _poly_mod(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _operator_matrix(pres, op, source_basis, target_basis):
-    index = {m: r for r, m in enumerate(target_basis)}
-    if pres.backend == EXACT:
-        matrix = [[_gr(0)] * len(source_basis) for _ in target_basis]
-        for c, mono in enumerate(source_basis):
-            image = op(InvariantForm(pres.n, {mono: 1}, EXACT))
-            for m, coeff in image.terms.items():
-                matrix[index[m]][c] = _gr(coeff)
-        return matrix
-    matrix = np.zeros((len(target_basis), len(source_basis)), dtype=complex)
-    for c, mono in enumerate(source_basis):
-        image = op(InvariantForm(pres.n, {mono: 1.0 + 0j}, FLOAT))
-        for m, coeff in image.terms.items():
-            matrix[index[m], c] = coeff
-    return matrix
-
-
 def _degree_basis(n, r):
     out = []
     for p in range(max(0, r - n), min(n, r) + 1):
@@ -980,65 +874,25 @@ def _degree_basis(n, r):
     return out
 
 
-def _rank(pres, matrix) -> int:
-    if pres.backend == EXACT:
-        if not matrix or not matrix[0]:
-            return 0
-        return linalg.rank(matrix)
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if len(s) == 0:
-        return 0
-    return int(np.sum(s > 1e-10 * max(1.0, s[0])))
+def _identity(f: InvariantForm) -> InvariantForm:
+    return f
 
 
-def _exact_image_in_bidegree(pres, p, q):
-    """Basis (as coefficient vectors over the (p,q) monomials) of
-    (im d) intersected with Lambda^{p,q}."""
-    n = pres.n
-    r = p + q
-    if r == 0:
-        return [], bidegree_basis(n, p, q)
-    source = _degree_basis(n, r - 1)
-    target = _degree_basis(n, r)
-    pq_basis = bidegree_basis(n, p, q)
-    pq_set = set(pq_basis)
-    d_matrix = _operator_matrix(pres, pres.d, source, target)
-    out_rows = [i for i, m in enumerate(target) if m not in pq_set]
-    in_rows = {m: i for i, m in enumerate(target)}
-    if pres.backend == EXACT:
-        restricted = [d_matrix[i] for i in out_rows]
-        kernel = linalg.nullspace(restricted) if restricted else [
-            [_gr(1) if j == i else _gr(0) for j in range(len(source))]
-            for i in range(len(source))
-        ]
-        vectors = []
-        for k in kernel:
-            img = linalg.matvec(d_matrix, k)
-            vec = [img[in_rows[m]] for m in pq_basis]
-            if any(vec):
-                vectors.append(vec)
-        return linalg.column_space_basis(vectors), pq_basis
-    restricted = d_matrix[out_rows, :] if out_rows else np.zeros((0, len(source)))
-    if restricted.shape[1] == 0:
-        return [], pq_basis
-    from scipy.linalg import null_space as _ns
+def _del_delbar_matrix(pres, sources, p, q):
+    """[del; delbar] on (p, q)-forms, applied to ``sources``."""
+    n, backend = pres.n, pres.backend
+    del_rows = operator_matrix(pres.del_, sources, bidegree_basis(n, p + 1, q), backend)
+    delbar_rows = operator_matrix(pres.delbar, sources, bidegree_basis(n, p, q + 1), backend)
+    return del_rows + delbar_rows
 
-    kernel = _ns(restricted) if restricted.shape[0] else np.eye(len(source))
-    vectors = []
-    for k in kernel.T:
-        img = d_matrix @ k
-        vec = np.array([img[in_rows[m]] for m in pq_basis])
-        if np.linalg.norm(vec) > 1e-10:
-            vectors.append(vec)
-    # orthonormalise to a basis
-    if not vectors:
-        return [], pq_basis
-    stacked = np.array(vectors).T
-    qmat, rmat = np.linalg.qr(stacked)
-    keep = [i for i in range(rmat.shape[0]) if abs(rmat[i, i]) > 1e-10]
-    return [qmat[:, i] for i in keep], pq_basis
+
+def _ddbar_image_rank(pres, p, q) -> int:
+    """dim del delbar(Lambda^{p-1,q-1}) inside Lambda^{p,q}."""
+    sources = _unit_forms(pres, bidegree_basis(pres.n, p - 1, q - 1))
+    matrix = operator_matrix(
+        pres.del_delbar, sources, bidegree_basis(pres.n, p, q), pres.backend
+    )
+    return linalg.for_backend(pres.backend).rank(matrix)
 
 
 def invariant_ddbar_lemma_check(pres: StructurePresentation, p: int, q: int) -> bool:
@@ -1046,71 +900,39 @@ def invariant_ddbar_lemma_check(pres: StructurePresentation, p: int, q: int) -> 
 
     Everything is computed on the finite invariant complex; the containment
     im(del delbar) inside the triple intersection always holds, so the
-    check compares dimensions exactly (exact backend) or by numeric rank.
+    check compares dimensions, exactly or under the float rank rule.  The
+    d-exact (p, q)-forms are d(k) for the (p+q-1)-forms k whose image has
+    no component outside (p, q); call them W.  The triple intersection is
+    the kernel of [del; delbar] on W, of dimension
+    rank W - rank [del; delbar] W.
     """
     n = pres.n
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise ValueError(f"bidegree ({p},{q}) out of range for rank {n}")
+    la = linalg.for_backend(pres.backend)
     pq_basis = bidegree_basis(n, p, q)
-    image_basis, _ = _exact_image_in_bidegree(pres, p, q)
-    dim_y = _rank(
-        pres,
-        _operator_matrix(
-            pres, pres.del_delbar, bidegree_basis(n, p - 1, q - 1), pq_basis
-        )
-        if p >= 1 and q >= 1
-        else ([] if pres.backend == EXACT else np.zeros((len(pq_basis), 0))),
-    )
-    if not image_basis:
-        return dim_y == 0
-    del_matrix = _operator_matrix(
-        pres, pres.del_, pq_basis, bidegree_basis(n, p + 1, q)
-    )
-    delbar_matrix = _operator_matrix(
-        pres, pres.delbar, pq_basis, bidegree_basis(n, p, q + 1)
-    )
-    if pres.backend == EXACT:
-        stacked = []
-        rows_d = len(del_matrix)
-        rows_db = len(delbar_matrix)
-        for r in range(rows_d + rows_db):
-            row = []
-            for vec in image_basis:
-                source_row = del_matrix[r] if r < rows_d else delbar_matrix[r - rows_d]
-                row.append(linalg.sum_product(source_row, vec))
-            stacked.append(row)
-        dim_x = len(image_basis) - (linalg.rank(stacked) if stacked else 0)
-    else:
-        w = np.array(image_basis).T
-        stacked = np.vstack([del_matrix @ w, delbar_matrix @ w])
-        dim_x = len(image_basis) - _rank(pres, stacked)
-    return dim_x == dim_y
+    source = _degree_basis(n, p + q - 1)
+    target = _degree_basis(n, p + q)
+    d_matrix = operator_matrix(pres.d, _unit_forms(pres, source), target, pres.backend)
+    d_outside = [row for row, m in zip(d_matrix, target) if m.bidegree() != (p, q)]
+    images = [
+        pres.d(_vector_form(pres, source, k)).project(p, q)
+        for k in la.nullspace(d_outside, len(source))
+    ]
+    dim_x = la.rank(operator_matrix(_identity, images, pq_basis, pres.backend))
+    dim_x -= la.rank(_del_delbar_matrix(pres, images, p, q))
+    return dim_x == _ddbar_image_rank(pres, p, q)
 
 
 def bott_chern_dimensions(pres: StructurePresentation) -> dict[tuple[int, int], int]:
     """dim (ker del ^ ker delbar / im del delbar) per bidegree,
     on the invariant complex."""
     n = pres.n
+    la = linalg.for_backend(pres.backend)
     out = {}
     for p in range(n + 1):
         for q in range(n + 1):
-            pq_basis = bidegree_basis(n, p, q)
-            del_matrix = _operator_matrix(
-                pres, pres.del_, pq_basis, bidegree_basis(n, p + 1, q)
-            )
-            delbar_matrix = _operator_matrix(
-                pres, pres.delbar, pq_basis, bidegree_basis(n, p, q + 1)
-            )
-            if pres.backend == EXACT:
-                stacked = list(del_matrix) + list(delbar_matrix)
-                ker = len(pq_basis) - (linalg.rank(stacked) if stacked else 0)
-            else:
-                stacked = np.vstack([del_matrix, delbar_matrix])
-                ker = len(pq_basis) - _rank(pres, stacked)
-            if p >= 1 and q >= 1:
-                dd = _operator_matrix(
-                    pres, pres.del_delbar, bidegree_basis(n, p - 1, q - 1), pq_basis
-                )
-                rk = _rank(pres, dd)
-            else:
-                rk = 0
-            out[(p, q)] = ker - rk
+            sources = _unit_forms(pres, bidegree_basis(n, p, q))
+            ker = len(sources) - la.rank(_del_delbar_matrix(pres, sources, p, q))
+            out[(p, q)] = ker - _ddbar_image_rank(pres, p, q)
     return out

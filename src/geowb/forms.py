@@ -207,8 +207,7 @@ class InvariantForm:
         return all(scalars.is_zero(c, tol) for c in self.terms.values())
 
     def coeff(self, mono: Monomial):
-        zero = scalars.to_scalar(0, self.backend) if self.backend == FLOAT else scalars.ZERO
-        return self.terms.get(mono, zero)
+        return self.terms.get(mono, scalars.to_scalar(scalars.ZERO, self.backend))
 
     def bidegrees(self) -> set[tuple[int, int]]:
         return {m.bidegree() for m in self.terms}
@@ -373,10 +372,8 @@ def sigma(p: int, backend: str = EXACT):
     """The normalisation constant i**(p*p) / 2**p, evaluated literally."""
     if p < 0:
         raise ValueError("sigma is defined for p >= 0")
-    ipow = scalars.i_power(p * p, backend)
-    if backend == EXACT:
-        return ipow * GaussRational(Fraction(1, 2**p))
-    return ipow / (2**p)
+    exact = scalars.i_power(p * p) * GaussRational(Fraction(1, 2**p))
+    return scalars.to_scalar(exact, backend)
 
 
 def top_monomial(n: int) -> Monomial:

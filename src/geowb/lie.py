@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import scalars
 from .forms import InvariantForm, Monomial, wedge
-from .scalars import EXACT, FLOAT
+from .scalars import EXACT
 
 
 class StructurePresentation:
@@ -289,12 +289,8 @@ def complexify_real_presentation(
             used.add(x)
 
     half = Fraction(1, 2)
-    if backend == EXACT:
-        plus_half = scalars.GaussRational(half)
-        i_half = scalars.GaussRational(0, half)
-    else:
-        plus_half = 0.5 + 0j
-        i_half = 0.5j
+    plus_half = scalars.to_scalar(scalars.GaussRational(half), backend)
+    i_half = scalars.to_scalar(scalars.GaussRational(0, half), backend)
 
     # e^a = (phi^j + phibar^j)/2 ; e^b = (phi^j - phibar^j)/(2i)
     real_one_forms: dict[int, InvariantForm] = {}

@@ -22,16 +22,15 @@ Classifier flags (omega the fundamental form, n the rank):
     astheno            del delbar omega^(n-2) = 0
     balanced           d omega^(n-1) = 0
     gauduchon          del delbar omega^(n-1) = 0
-    strongly_gauduchon del omega^(n-1) is delbar-exact (an exact linear
-                       solve over the invariant (n, n-2) basis)
+    strongly_gauduchon del omega^(n-1) is delbar-exact (a linear solve
+                       over the invariant (n, n-2) basis: exact, or under
+                       the float rank rule of ``linalg``)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import linalg, scalars
 from .forms import InvariantForm, Monomial, bidegree_basis, wedge
@@ -76,10 +75,7 @@ class HermitianMetric:
     @classmethod
     def from_letters(cls, r2, s2, t2, u=0, v=0, w=0, backend: str = EXACT):
         """Build the n = 3 metric from the scalar letters (squares given)."""
-        if backend == EXACT:
-            minus_i = GaussRational(0, -1)
-        else:
-            minus_i = -1j
+        minus_i = scalars.i_power(3, backend)
         u = scalars.to_scalar(u, backend)
         v = scalars.to_scalar(v, backend)
         w = scalars.to_scalar(w, backend)
@@ -177,10 +173,7 @@ def fundamental_form(metric: HermitianMetric) -> InvariantForm:
         raise ValueError("metric is not positive definite")
     n = metric.n
     backend = metric.backend
-    if backend == EXACT:
-        i_half = GaussRational(0, Fraction(1, 2))
-    else:
-        i_half = 0.5j
+    i_half = scalars.to_scalar(GaussRational(0, Fraction(1, 2)), backend)
     terms = {}
     for j in range(1, n + 1):
         for k in range(1, n + 1):
@@ -271,63 +264,34 @@ def classify(
     record("balanced", pres.d(powers[n - 1]), f"d omega^{n - 1}")
     record("gauduchon", pres.del_delbar(powers[n - 1]), f"del delbar omega^{n - 1}")
 
-    sg, sg_evidence = _strongly_gauduchon(pres, powers[n - 1], tol)
+    sg, sg_evidence = _strongly_gauduchon(pres, powers[n - 1])
     flags["strongly_gauduchon"] = sg
     evidence["strongly_gauduchon"] = sg_evidence
 
     notes = []
     if pres.backend == FLOAT:
         notes.append(
-            "float backend: every flag is decided within the absolute "
-            f"tolerance {scalars.DEFAULT_EPS if tol is None else tol}"
+            "float backend: every flag but strongly_gauduchon is decided within "
+            f"the absolute tolerance {scalars.DEFAULT_EPS if tol is None else tol}, "
+            "strongly_gauduchon by numeric rank (relative cutoff "
+            f"{linalg.RANK_RTOL:g})"
         )
     return MetricReport(flags, evidence, pres.backend, tol, notes)
 
 
-def _strongly_gauduchon(pres, omega_n1, tol):
+def _strongly_gauduchon(pres, omega_n1):
     """Solvability of  del omega^(n-1) = delbar Gamma  over Lambda^{n, n-2}."""
     n = pres.n
     target = pres.del_(omega_n1)  # an (n, n-1)-form
-    source_basis = bidegree_basis(n, n, n - 2)
+    sources = [
+        InvariantForm(n, {m: 1}, pres.backend) for m in bidegree_basis(n, n, n - 2)
+    ]
     target_basis = bidegree_basis(n, n, n - 1)
-    index = {m: r for r, m in enumerate(target_basis)}
-    if pres.backend == EXACT:
-        matrix = [
-            [GaussRational(0) for _ in source_basis] for _ in target_basis
-        ]
-        for c, mono in enumerate(source_basis):
-            image = pres.delbar(InvariantForm(n, {mono: 1}, EXACT))
-            for m, coeff in image.terms.items():
-                matrix[index[m]][c] = coeff
-        rhs = [GaussRational(0)] * len(target_basis)
-        for m, coeff in target.terms.items():
-            rhs[index[m]] = coeff
-        solution = linalg.solve(matrix, rhs)
-        if solution is None:
-            return False, (
-                "del omega^(n-1) is not delbar-exact over the invariant basis"
-            )
-        return True, "del omega^(n-1) = delbar Gamma has an invariant solution"
-    # float backend: least-squares residual decides, tolerance-dependent
-    a = np.zeros((len(target_basis), len(source_basis)), dtype=complex)
-    for c, mono in enumerate(source_basis):
-        image = pres.delbar(InvariantForm(n, {mono: 1.0 + 0j}, FLOAT))
-        for m, coeff in image.terms.items():
-            a[index[m], c] = coeff
-    b = np.zeros(len(target_basis), dtype=complex)
-    for m, coeff in target.terms.items():
-        b[index[m]] = coeff
-    if a.size == 0:
-        residual = float(np.linalg.norm(b))
-    else:
-        solution, *_ = np.linalg.lstsq(a, b, rcond=None)
-        residual = float(np.linalg.norm(a @ solution - b))
-    eps = scalars.DEFAULT_EPS if tol is None else tol
-    ok = residual <= max(eps, 1e-9)
-    return ok, (
-        f"least-squares residual {residual:.3e} "
-        f"({'<=' if ok else '>'} tolerance; float path is tolerance-dependent)"
-    )
+    matrix = linalg.operator_matrix(pres.delbar, sources, target_basis, pres.backend)
+    rhs = [target.coeff(m) for m in target_basis]
+    if linalg.for_backend(pres.backend).solve(matrix, rhs, len(sources)) is None:
+        return False, "del omega^(n-1) is not delbar-exact over the invariant basis"
+    return True, "del omega^(n-1) = delbar Gamma has an invariant solution"
 
 
 @dataclass

@@ -35,7 +35,7 @@ with (i, j) one of (1,6), (2,5), (3,4), which is transverse iff |a| < 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
@@ -45,10 +45,11 @@ from . import scalars
 from .forms import (
     InvariantForm,
     Monomial,
-    bidegree_basis,
+    _indices,
     sigma,
     volume_ratio,
     wedge,
+    wedge_monomials,
 )
 from .scalars import EXACT, FLOAT, GaussRational
 
@@ -230,34 +231,17 @@ def pairing_matrix(psi: InvariantForm):
     vol_unit = complex(scalars.to_scalar(sigma(n, psi.backend), FLOAT))
     full = (1 << n) - 1
     for mono, coeff in psi.terms.items():
-        holo_c = _indices_of(full & ~mono.holo)
-        anti_c = _indices_of(full & ~mono.anti)
+        holo_c = _indices(full & ~mono.holo)
+        anti_c = _indices(full & ~mono.anti)
         if len(holo_c) != q or len(anti_c) != q:
             continue
         partner = Monomial.make(holo_c, anti_c, n)
-        _, sign = _wedge_sign(mono, partner)
+        _, sign = wedge_monomials(mono, partner)
         if sign == 0:
             continue
         value = complex(scalars.to_scalar(coeff, FLOAT)) * sign * sig / vol_unit
         t[index[holo_c], index[anti_c]] += value
     return subsets, t
-
-
-def _indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def _wedge_sign(a: Monomial, b: Monomial):
-    from .forms import wedge_monomials
-
-    return wedge_monomials(a, b)
 
 
 def _plucker(b: np.ndarray, subsets) -> np.ndarray:
@@ -554,10 +538,6 @@ def _omega_a_boundary_witness(a: complex, pair) -> np.ndarray:
         z[c - 1] = root
         z[d - 1] = root
     return z
-
-
-def quadric_constraint(z: np.ndarray) -> complex:
-    return z[0] * z[5] + z[1] * z[4] + z[2] * z[3]
 
 
 def quadric_value(z: np.ndarray, a: np.ndarray) -> float:

@@ -172,6 +172,7 @@ def _coerce(value):
 ZERO = GaussRational(0)
 ONE = GaussRational(1)
 I = GaussRational(0, 1)
+_I_POWERS = (ONE, I, -ONE, -I)
 
 
 def to_scalar(value, backend):
@@ -215,10 +216,14 @@ def close(a, b, tol: float | None = None) -> bool:
 
 def i_power(k: int, backend: str = EXACT):
     """i**k, reduced exactly."""
-    k %= 4
+    return to_scalar(_I_POWERS[k % 4], backend)
+
+
+def from_parts(re, im, backend):
+    """The scalar re + i im on the given backend, from two real parts."""
     if backend == EXACT:
-        return (ONE, I, GaussRational(-1), GaussRational(0, -1))[k]
-    return (1 + 0j, 1j, -1 + 0j, -1j)[k]
+        return GaussRational(re, im)
+    return complex(re, im)
 
 
 def real_part(value):

@@ -1,5 +1,4 @@
-"""Randomised property suites, shared between the unit tests and the
-acceptance gate (which re-runs them under a timing budget)."""
+"""Randomised property suites, run by the unit tests."""
 
 from __future__ import annotations
 
@@ -218,16 +217,3 @@ def backends_agree(cases: int = 1000, seed: int = 109):
         )
         assert exact.to_float().equals(floating, tol=1e-9)
 
-
-ALL_SUITES = (
-    wedge_anticommutativity,
-    conjugation_morphism,
-    bidegree_partition,
-    normalize_matches_bubble_parity,
-    d_splits_as_del_plus_delbar,
-    dolbeault_squares_vanish,
-    differential_commutes_with_conjugation,
-    pairing_is_real,
-    bott_chern_torus_dimensions,
-    backends_agree,
-)

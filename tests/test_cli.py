@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -70,3 +71,87 @@ def test_malformed_structure_file_is_an_input_error(tmp_path):
     result = run("validate", path)
     assert result.exit_code == 2, result.output
     assert "internal error" not in result.output
+
+
+def test_backend_option_is_gone():
+    result = run("--backend", "float", "catalog", "list")
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+def test_float_refusal_does_not_advise_an_option(tmp_path):
+    params = write_json(tmp_path / "params.json", {"A": 0.5})
+    result = run("catalog", "show", "fps6", "--params", params)
+    assert result.exit_code == 2
+    assert "--backend" not in result.output
+    assert '"p/q"' in result.output
+
+
+def test_every_omega_a_help_example_runs():
+    help_text = " ".join(run("transverse", "--help").output.split())
+    start = help_text.index("--omega-a")
+    examples = re.findall(r"'([^']+)'", help_text[start : help_text.index("--quadric")])
+    assert examples
+    for value in examples:
+        result = run("--json", "transverse", f"--omega-a={value}")
+        assert result.exit_code in (0, 1), (value, result.output)
+        assert json.loads(result.output)["kind"]
+
+
+def iwasawa_params(tmp_path):
+    """fps6 with d phi^3 = phi^12: the Iwasawa manifold."""
+    return write_json(tmp_path / "params.json", {"E": 1})
+
+
+class TestBottChern:
+    def test_float_entry_json(self):
+        result = run("--json", "bc-dims", "s1-pi2")
+        assert result.exit_code == 0, result.output
+        dims = json.loads(result.output)["dimensions"]
+        assert (dims["1,1"], dims["1,2"], dims["2,1"], dims["2,2"]) == (2, 1, 1, 2)
+        assert dims["1,0"] == dims["0,1"] == 0
+
+    def test_exact_key_json(self, tmp_path):
+        result = run("--json", "bc-dims", "fps6", "--params", iwasawa_params(tmp_path))
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["structure"] == "fps6"
+        assert (payload["dimensions"]["1,1"], payload["dimensions"]["2,1"]) == (4, 6)
+
+    def test_text_table(self):
+        result = run("bc-dims", "s1-pi2")
+        assert result.exit_code == 0
+        assert result.output.splitlines()[3].split() == ["1", "0", "2", "1", "0"]
+
+    def test_unknown_structure(self):
+        assert run("bc-dims", "no-such-key").exit_code == 2
+
+
+class TestDdbarLemma:
+    @pytest.mark.parametrize("p, q, code", [(1, 0, 0), (1, 1, 1), (2, 2, 1), (2, 1, 0)])
+    def test_float_entry(self, p, q, code):
+        result = run("--json", "ddbar-lemma", "s1-pi2", "--p", str(p), "--q", str(q))
+        assert result.exit_code == code, result.output
+        payload = json.loads(result.output)
+        assert (payload["p"], payload["q"], payload["holds"]) == (p, q, code == 0)
+
+    @pytest.mark.parametrize("p, q, code", [(1, 1, 0), (2, 1, 1)])
+    def test_exact_key(self, tmp_path, p, q, code):
+        params = iwasawa_params(tmp_path)
+        result = run(
+            "--json", "ddbar-lemma", "fps6", "--params", params, "--p", str(p), "--q", str(q)
+        )
+        assert result.exit_code == code, result.output
+        assert json.loads(result.output)["holds"] is (code == 0)
+
+    def test_text_output(self):
+        result = run("ddbar-lemma", "s1-pi2", "--p", "1", "--q", "1")
+        assert result.exit_code == 1
+        assert "FAILS" in result.output
+
+
+@pytest.mark.parametrize("p, q", [(4, 0), (1, -1)])
+def test_ddbar_lemma_bidegree_out_of_range_is_an_input_error(p, q):
+    result = run("ddbar-lemma", "s1-pi2", "--p", str(p), "--q", str(q))
+    assert result.exit_code == 2, result.output
+    assert "out of range" in result.output

@@ -1,0 +1,283 @@
+"""Closure systems, family formulas, simple-form search and invariant
+cohomology, checked on exact presentations, their float copies and the
+float catalogue entry."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from geowb import catalog
+from geowb.existence import (
+    bott_chern_dimensions,
+    closure_system,
+    exact_simple_holomorphic_search,
+    fps_ansatz_basis,
+    fps_psymplectic_condition,
+    ft8_3symplectic_condition,
+    ft8_ansatz_basis,
+    invariant_ddbar_lemma_check,
+    st10_4symplectic_condition,
+    st10_ansatz_basis,
+)
+from geowb.forms import InvariantForm, Monomial, bidegree_basis
+from geowb.lie import StructurePresentation
+from geowb.metrics import HermitianMetric, classify, form_power, fundamental_form
+from geowb.scalars import EXACT, FLOAT, GaussRational
+
+
+def gr(rnd: random.Random) -> GaussRational:
+    def part():
+        return Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+
+    return GaussRational(part(), part())
+
+
+def nonzero_gr(rnd: random.Random) -> GaussRational:
+    while True:
+        x = gr(rnd)
+        if x:
+            return x
+
+
+def float_copy(pres: StructurePresentation) -> StructurePresentation:
+    return StructurePresentation(
+        pres.n, [f.to_float() for f in pres.dphi], name=pres.name, backend=FLOAT
+    )
+
+
+def member(key: str, rnd: random.Random) -> StructurePresentation:
+    entry = catalog.entry(key)
+    return entry.instantiate(**{p.name: nonzero_gr(rnd) for p in entry.params})
+
+
+def metric_power(pres: StructurePresentation, p: int) -> InvariantForm:
+    omega = fundamental_form(HermitianMetric.identity(pres.n, pres.backend))
+    return form_power(omega, p)
+
+
+def low_and_high_bidegrees(n: int):
+    """Bidegrees of total degree at most 2 or at least 2n - 2."""
+    return [
+        (p, q)
+        for p in range(n + 1)
+        for q in range(n + 1)
+        if p + q <= 2 or p + q >= 2 * n - 2
+    ]
+
+
+# exact presentations next to their float copies
+EXACT_CASES = {
+    "fps6": lambda: member("fps6", random.Random(11)),
+    "nakamura-iv-5": lambda: catalog.get("nakamura-iv-5"),
+    "ft8": lambda: member("ft8", random.Random(12)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(EXACT_CASES))
+def pair(request):
+    exact = EXACT_CASES[request.param]()
+    return exact, float_copy(exact)
+
+
+class TestBackendsAgree:
+    def test_bott_chern_dimensions(self, pair):
+        exact, floating = pair
+        assert bott_chern_dimensions(floating) == bott_chern_dimensions(exact)
+
+    def test_ddbar_lemma_low_and_high_degrees(self, pair):
+        exact, floating = pair
+        for p, q in low_and_high_bidegrees(exact.n):
+            assert invariant_ddbar_lemma_check(
+                floating, p, q
+            ) == invariant_ddbar_lemma_check(exact, p, q), (p, q)
+
+    def test_classify_flags(self, pair):
+        exact, floating = pair
+        rnd = random.Random(13)
+        n = exact.n
+        diag = [rnd.randint(2, 4) for _ in range(n)]
+        entries = [[diag[j] if j == k else 0 for k in range(n)] for j in range(n)]
+        entries[0][1] = GaussRational(Fraction(1, 2), Fraction(-1, 3))
+        entries[1][0] = entries[0][1].conjugate()
+        for metric in (HermitianMetric.identity(n), HermitianMetric(entries)):
+            float_metric = HermitianMetric(metric.entries, FLOAT)
+            want = classify(exact, metric).flags
+            assert classify(floating, float_metric, tol=1e-10).flags == want
+
+    def test_closure_system(self, pair):
+        exact, floating = pair
+        p = exact.n - 1
+        basis = bidegree_basis(exact.n, p + 1, p - 1)
+        want = closure_system(exact, p, metric_power(exact, p), basis)
+        got = closure_system(floating, p, metric_power(floating, p), basis)
+        assert got.consistent == want.consistent
+        assert len(got.kernel) == len(want.kernel)
+
+
+class TestFloatCatalogueEntry:
+    def test_bott_chern_table(self):
+        table = bott_chern_dimensions(catalog.get("s1-pi2"))
+        nonzero = {pq: v for pq, v in table.items() if v}
+        assert nonzero == {
+            (0, 0): 1,
+            (1, 1): 2,
+            (1, 2): 1,
+            (2, 1): 1,
+            (2, 2): 2,
+            (2, 3): 1,
+            (3, 2): 1,
+            (3, 3): 1,
+        }
+
+    def test_ddbar_lemma_fails_at_11_and_22_only(self):
+        pres = catalog.get("s1-pi2")
+        failures = [
+            (p, q)
+            for p in range(4)
+            for q in range(4)
+            if not invariant_ddbar_lemma_check(pres, p, q)
+        ]
+        assert failures == [(1, 1), (2, 2)]
+
+
+# ---- closed-form family conditions against the closure solver -------------
+
+
+def fps6_case(rnd: random.Random):
+    letters = {k: nonzero_gr(rnd) for k in "ABCDE"}
+    pres = catalog.fps6(**letters)
+    r2, s2, t2 = (rnd.randint(3, 5) for _ in range(3))
+    u, v, w = (gr(rnd) * Fraction(1, 6) for _ in range(3))
+    metric = HermitianMetric.from_letters(r2, s2, t2, u, v, w)
+    assert metric.is_positive_definite()
+    fixed = form_power(fundamental_form(metric), 2)
+
+    def condition(c):
+        return fps_psymplectic_condition(
+            *(letters[k] for k in "ABCDE"), N=c["N"], r2=r2, s2=s2, t2=t2, u=u, v=v, w=w
+        )
+
+    # condition = condition(N = 0) - N conj(E)
+    def closing(c):
+        return {"N": condition({**c, "N": 0}) / letters["E"].conjugate()}
+
+    return pres, 2, fixed, fps_ansatz_basis(), condition, closing
+
+
+def ft8_case(rnd: random.Random):
+    a = [nonzero_gr(rnd) for _ in range(12)]
+    pres = catalog.ft8(*a)
+
+    def condition(c):
+        return ft8_3symplectic_condition(a, L3=c["L3"], M2=c["M2"], N=c["N"])
+
+    # condition = condition(N = 0) - conj(N) a1
+    def closing(c):
+        return {"N": (condition({**c, "N": 0}) / a[0]).conjugate()}
+
+    return pres, 3, metric_power(pres, 3), ft8_ansatz_basis(), condition, closing
+
+
+def st10_case(rnd: random.Random):
+    a, b, c_, d = ([nonzero_gr(rnd) for _ in range(k)] for k in (7, 6, 5, 4))
+    pres = catalog.st10(*a, *b, *c_, *d)
+
+    def condition(c):
+        return st10_4symplectic_condition(
+            a, b, c_, d,
+            L3=c["L3"], M2=c["M2"], N1=c["N1"], S2=c["S2"], S3=c["S3"], P=c["P"],
+        )
+
+    # condition = condition(P = 0) - conj(P) a1
+    def closing(c):
+        return {"P": (condition({**c, "P": 0}) / a[0]).conjugate()}
+
+    return pres, 4, metric_power(pres, 4), st10_ansatz_basis(), condition, closing
+
+
+@pytest.mark.parametrize(
+    "make_case, seed",
+    [(fps6_case, 21), (fps6_case, 22), (ft8_case, 23), (ft8_case, 24), (st10_case, 25)],
+    ids=["fps6-a", "fps6-b", "ft8-a", "ft8-b", "st10"],
+)
+def test_family_formula_matches_closure_solver(make_case, seed):
+    rnd = random.Random(seed)
+    pres, p, fixed, (basis, names), condition, closing = make_case(rnd)
+    solution = closure_system(pres, p, fixed, basis, names)
+    assert solution.consistent
+
+    def coefficients(c):
+        return [c[name] for name in names]
+
+    generic = {name: gr(rnd) for name in names}
+    closed = {**generic, **closing(generic)}
+    assert condition(closed) == 0
+    for c in (generic, closed):
+        assert solution.is_member(coefficients(c)) == (condition(c) == 0)
+
+    # every solver solution satisfies the formula and closes Psi
+    particular = list(solution.particular)
+    solutions = [particular] + [
+        [x + y for x, y in zip(particular, k)] for k in solution.kernel
+    ]
+    for s in solutions:
+        assert solution.is_member(s)
+        assert condition(dict(zip(names, s))) == 0
+
+
+def test_closure_system_reports_an_inconsistent_ansatz():
+    # fps6 with E = 1 is not Kaehler: omega is not closed, and an empty
+    # ansatz has nothing to correct it with
+    pres = catalog.fps6(E=1)
+    fixed = metric_power(pres, 1)
+    solution = closure_system(pres, 1, fixed, [])
+    assert not solution.consistent
+    assert solution.particular is None
+
+
+# ---- simple holomorphic forms on complex-parallelizable presentations -----
+
+
+class TestSimpleHolomorphicSearch:
+    def test_unique_line_that_is_not_simple(self):
+        verdict = exact_simple_holomorphic_search(catalog.get("eta-beta-5"), 2)
+        assert (verdict.kind, verdict.dim_image) == ("no-obstruction", 1)
+
+    def test_first_spanning_image_is_the_witness(self):
+        verdict = exact_simple_holomorphic_search(catalog.get("eta-beta-5"), 3)
+        assert (verdict.kind, verdict.dim_image) == ("obstruction", 4)
+        assert verdict.xi == InvariantForm(5, {Monomial.make([1, 2, 4], [], 5): 1})
+
+    @pytest.mark.parametrize(
+        "key, q, dim", [("nakamura-iv-3", 2, 2), ("nakamura-v-12", 3, 6), ("nakamura-v-11", 5, 1)]
+    )
+    def test_image_dimensions(self, key, q, dim):
+        verdict = exact_simple_holomorphic_search(catalog.get(key), q)
+        assert (verdict.kind, verdict.dim_image) == ("obstruction", dim)
+
+    def test_certificate_is_checked_for_exactness(self):
+        pres = catalog.get("eta-beta-5")
+        exact_xi = InvariantForm(5, {Monomial.make([1, 2, 4], [], 5): 1})
+        verdict = exact_simple_holomorphic_search(pres, 3, xi=exact_xi)
+        assert verdict.kind == "obstruction"
+        # d(Lambda^{2,0}) is spanned by phi^{123}, phi^{124}, phi^{134}, phi^{234}
+        closed_xi = InvariantForm(5, {Monomial.make([1, 2, 5], [], 5): 1})
+        verdict = exact_simple_holomorphic_search(pres, 3, xi=closed_xi)
+        assert (verdict.kind, verdict.reason) == (
+            "undecided", "certificate xi is not d-exact"
+        )
+
+    def test_refuses_non_parallelizable(self):
+        with pytest.raises(ValueError, match="complex-parallelizable"):
+            exact_simple_holomorphic_search(catalog.fps6(C=1), 2)
+
+
+def test_exact_backend_stays_exact():
+    pres = member("fps6", random.Random(31))
+    assert pres.backend == EXACT
+    solution = closure_system(pres, 2, metric_power(pres, 2), *fps_ansatz_basis())
+    assert all(isinstance(x, GaussRational) for x in solution.particular)
+    assert all(isinstance(x, GaussRational) for k in solution.kernel for x in k)
