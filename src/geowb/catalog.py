@@ -318,67 +318,34 @@ def s1_pi2() -> StructurePresentation:
 # ---------------------------------------------------------------------------
 
 
-def _iv_entry(k: int, label: str, note: str = "") -> CatalogEntry:
-    params = ()
+# rows with parameters: (type, row) -> (names, the product that must not
+# vanish, evaluated on the parameters in that order, and its text)
+_ROW_PARAMS = {
+    ("IV", 5): (("alpha",), lambda alpha: alpha * (1 + alpha), "alpha (1 + alpha) != 0"),
+    ("V", 13): (("alpha",), lambda alpha: alpha * (1 + alpha), "alpha (1 + alpha) != 0"),
+    ("V", 17): (
+        ("gamma", "beta"),
+        lambda gamma, beta: gamma * beta * (1 + gamma + beta),
+        "gamma beta (1 + gamma + beta) != 0",
+    ),
+    ("V", 20): (("eta",), lambda eta: eta * (2 + eta), "eta (2 + eta) != 0"),
+}
+
+
+def _nakamura_entry(kind: str, k: int, label: str, note: str = "") -> CatalogEntry:
+    build_row = nakamura_iv if kind == "IV" else nakamura_v
+    names, product, constraint_doc = _ROW_PARAMS.get((kind, k), ((), None, ""))
     constraint = None
-    constraint_doc = ""
-    if k == 5:
-        params = (ParamSpec("alpha", 1, "row parameter"),)
-        constraint = lambda v: GaussRational(v["alpha"]) * (1 + GaussRational(v["alpha"])) != 0
-        constraint_doc = "alpha (1 + alpha) != 0"
-    provenance = f"Nakamura classification, type IV, row {k} ({label})"
+    if product is not None:
+        constraint = lambda v: product(*(GaussRational(v[x]) for x in names)) != 0
+    provenance = f"Nakamura classification, type {kind}, row {k} ({label})"
     if note:
         provenance += f"; {note}"
     return CatalogEntry(
-        key=f"nakamura-iv-{k}",
-        summary=f"type IV row {k}, {label}",
-        build=lambda **kw: nakamura_iv(k, **kw),
-        params=params,
-        constraint=constraint,
-        constraint_doc=constraint_doc,
-        provenance=provenance,
-        label=label,
-    )
-
-
-def _v_entry(k: int, label: str, note: str = "") -> CatalogEntry:
-    params = ()
-    constraint = None
-    constraint_doc = ""
-    if k == 13:
-        params = (ParamSpec("alpha", 1, "row parameter"),)
-        constraint = lambda v: GaussRational(v["alpha"]) * (1 + GaussRational(v["alpha"])) != 0
-        constraint_doc = "alpha (1 + alpha) != 0"
-    elif k == 17:
-        params = (
-            ParamSpec("gamma", 1, "row parameter"),
-            ParamSpec("beta", 1, "row parameter"),
-        )
-        constraint = lambda v: (
-            GaussRational(v["gamma"]) * GaussRational(v["beta"])
-            * (1 + GaussRational(v["gamma"]) + GaussRational(v["beta"]))
-        ) != 0
-        constraint_doc = "gamma beta (1 + gamma + beta) != 0"
-    elif k == 20:
-        params = (ParamSpec("eta", 1, "row parameter"),)
-        constraint = lambda v: GaussRational(v["eta"]) * (2 + GaussRational(v["eta"])) != 0
-        constraint_doc = "eta (2 + eta) != 0"
-
-    def build(**kw):
-        kwargs = {}
-        for name in ("alpha", "beta", "gamma", "eta"):
-            if name in kw:
-                kwargs[name] = kw[name]
-        return nakamura_v(k, **kwargs)
-
-    provenance = f"Nakamura classification, type V, row {k} ({label})"
-    if note:
-        provenance += f"; {note}"
-    return CatalogEntry(
-        key=f"nakamura-v-{k}",
-        summary=f"type V row {k}, {label}",
-        build=build,
-        params=params,
+        key=f"nakamura-{kind.lower()}-{k}",
+        summary=f"type {kind} row {k}, {label}",
+        build=lambda **kw: build_row(k, **kw),
+        params=tuple(ParamSpec(x, 1, "row parameter") for x in names),
         constraint=constraint,
         constraint_doc=constraint_doc,
         provenance=provenance,
@@ -429,10 +396,10 @@ def _family_params(names) -> tuple[ParamSpec, ...]:
 
 CATALOG: dict[str, CatalogEntry] = {}
 
-for _k, (_label, _note) in _IV_LABELS.items():
-    CATALOG[f"nakamura-iv-{_k}"] = _iv_entry(_k, _label, _note)
-for _k, (_label, _note) in _V_LABELS.items():
-    CATALOG[f"nakamura-v-{_k}"] = _v_entry(_k, _label, _note)
+for _kind, _labels in (("IV", _IV_LABELS), ("V", _V_LABELS)):
+    for _k, (_label, _note) in _labels.items():
+        _entry = _nakamura_entry(_kind, _k, _label, _note)
+        CATALOG[_entry.key] = _entry
 
 CATALOG["fps6"] = CatalogEntry(
     key="fps6",

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import click
 
@@ -21,7 +20,7 @@ from . import catalog as cat
 from . import existence, metrics, positivity, scalars
 from .forms import form_from_json
 from .lie import presentation_from_json, presentation_to_json
-from .scalars import EXACT, FLOAT, GaussRational
+from .scalars import EXACT, GaussRational
 
 DEFAULT_SEED = 20240
 
@@ -48,47 +47,24 @@ def _load_json(path: str) -> dict:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _float_rejected(value) -> InputError:
-    return InputError(
-        f"float {value} cannot enter an exact computation; "
-        "pass an exact \"p/q\" string instead"
-    )
-
-
 def _parse_param_value(value, backend: str):
-    """Accept "p/q", int, float, [re, im] or {"re":..,"im":..}.
+    """Read a number, a string such as "3/2" or "1-2i", [re, im] or
+    {"re": .., "im": ..} into the backend's field.
 
     On the exact backend a JSON float is refused, alone or as a part.
     """
+    if isinstance(value, bool):
+        raise InputError(f"boolean is not a scalar: {value}")
     if isinstance(value, list):
         if len(value) != 2:
             raise InputError(f"scalar list must be [re, im], got {value}")
         value = {"re": value[0], "im": value[1]}
-    if isinstance(value, dict):
-        if backend == EXACT:
-            for part in (value.get("re"), value.get("im")):
-                if isinstance(part, float):
-                    raise _float_rejected(part)
-        try:
-            return scalars.scalar_from_json(value, backend)
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse scalar {value!r}: {exc}") from exc
-    if isinstance(value, bool):
-        raise InputError(f"boolean is not a scalar: {value}")
-    if isinstance(value, int):
-        return GaussRational(value) if backend == EXACT else complex(value)
-    if isinstance(value, float):
-        if backend == EXACT:
-            raise _float_rejected(value)
-        return complex(value)
-    if isinstance(value, str):
-        try:
-            if backend == EXACT:
-                return GaussRational(Fraction(value))
-            return complex(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse scalar {value!r}") from exc
-    raise InputError(f"cannot parse scalar {value!r}")
+    field = scalars.field(backend)
+    read = {str: field.parse, dict: field.from_json}.get(type(value), field.coerce)
+    try:
+        return read(value)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse scalar {value!r}: {exc}") from exc
 
 
 def _load_params(path: str | None, backend: str) -> dict:
@@ -243,8 +219,7 @@ def catalog_show(config, key, params_path):
 def validate(config, structure, params_path, exhaustive):
     """Check d*d = 0 and integrability for a structure file or catalog key."""
     pres = _resolve_structure(structure, params_path)
-    tol = config.epsilon if pres.backend == FLOAT else None
-    report = pres.validate(tol=tol, exhaustive=exhaustive)
+    report = pres.validate(tol=config.epsilon, exhaustive=exhaustive)
     lines = [
         f"structure:   {pres.name or structure}",
         f"d*d = 0:     {'pass' if report.ok else 'FAIL'}",
@@ -275,10 +250,9 @@ def classify_metric(config, structure, metric_spec, params_path):
     """Evaluate the special-metric flags for a presentation and metric."""
     pres = _resolve_structure(structure, params_path)
     metric = _load_metric(metric_spec, pres)
-    tol = config.epsilon if pres.backend == FLOAT else None
-    if not metric.is_positive_definite(tol):
+    if not metric.is_positive_definite(config.epsilon):
         raise InputError("metric is not positive definite")
-    report = metrics.classify(pres, metric, tol)
+    report = metrics.classify(pres, metric, config.epsilon)
     lines = [f"structure: {pres.name or structure}"]
     for flag, value in report.flags.items():
         lines.append(f"{flag:20s} {str(value):5s}  {report.evidence[flag]}")
@@ -298,9 +272,9 @@ def classify_metric(config, structure, metric_spec, params_path):
 @click.option("--structure", "structure", default=None, type=str,
               help="optional structure context (for rank/backend only)")
 @click.option("--omega-a", "omega_a", default=None, type=str,
-              help="test the rank-4 quadric family member with this rational "
-                   "a (an integer, p/q or an exact decimal), e.g. '3/2', "
-                   "'-5/2' or '0.25'")
+              help="test the rank-4 quadric family member with this exact "
+                   "a (an integer, p/q, an exact decimal or a Gaussian "
+                   "rational x+yi), e.g. '3/2', '-5/2', '0.25' or '1+1i'")
 @click.option("--quadric/--no-quadric", default=None,
               help="force or forbid the rank-4 quadric path for (2,2)-forms")
 @click.pass_obj
@@ -314,7 +288,7 @@ def transverse(config, form_path, structure, omega_a, quadric):
             matrix, starts=64, seed=config.seed
         )
         lines = [
-            f"quadric family member, a = {scalars.format_scalar(a)}",
+            f"quadric family member, a = {scalars.field(EXACT).format(a)}",
             f"verdict: {verdict.kind}"
             + (f" ({verdict.certificate})" if verdict.certificate else ""),
         ]
@@ -361,30 +335,12 @@ def transverse(config, form_path, structure, omega_a, quadric):
 # psymplectic
 # ---------------------------------------------------------------------------
 
+# p and the closure ansatz of each family; its structure letters are the
+# parameters of its catalogue entry and its free coefficients the ansatz names
 _FAMILIES = {
-    "fps6": {
-        "p": 2,
-        "letters": ["A", "B", "C", "D", "E"],
-        "free": ["L", "M", "N"],
-        "ansatz": existence.fps_ansatz_basis,
-    },
-    "ft8": {
-        "p": 3,
-        "letters": [f"a{i}" for i in range(1, 13)],
-        "free": ["L1", "L2", "L3", "M1", "M2", "N"],
-        "ansatz": existence.ft8_ansatz_basis,
-    },
-    "st10": {
-        "p": 4,
-        "letters": (
-            [f"a{i}" for i in range(1, 8)]
-            + [f"b{i}" for i in range(1, 7)]
-            + [f"c{i}" for i in range(1, 6)]
-            + [f"d{i}" for i in range(1, 5)]
-        ),
-        "free": ["L1", "L2", "L3", "M1", "M2", "N1", "S1", "S2", "S3", "P"],
-        "ansatz": existence.st10_ansatz_basis,
-    },
+    "fps6": (2, existence.fps_ansatz_basis),
+    "ft8": (3, existence.ft8_ansatz_basis),
+    "st10": (4, existence.st10_ansatz_basis),
 }
 
 
@@ -397,12 +353,13 @@ _FAMILIES = {
 @_guard
 def psymplectic(config, family, params_path, metric_spec):
     """Closedness of the family ansatz Psi = lambda + omega^p + conj(lambda)."""
-    spec = _FAMILIES[family]
-    p = spec["p"]
+    p, ansatz = _FAMILIES[family]
+    basis, names = ansatz()
+    letter_names = [param.name for param in cat.entry(family).params]
     params = _load_params(params_path, EXACT)
-    letters = {k: params.get(k, GaussRational(0)) for k in spec["letters"]}
-    free = {k: params.get(k, GaussRational(0)) for k in spec["free"]}
-    unknown = set(params) - set(spec["letters"]) - set(spec["free"])
+    letters = {k: params.get(k, GaussRational(0)) for k in letter_names}
+    free = {k: params.get(k, GaussRational(0)) for k in names}
+    unknown = set(params) - set(letter_names) - set(names)
     if unknown:
         raise InputError(f"unknown parameters: {sorted(unknown)}")
 
@@ -423,27 +380,22 @@ def psymplectic(config, family, params_path, metric_spec):
         if metric_spec not in ("diagonal", "identity"):
             raise InputError("the rank-4 family condition is for the diagonal metric")
         condition = existence.ft8_3symplectic_condition(
-            [letters[f"a{i}"] for i in range(1, 13)],
-            L3=free["L3"], M2=free["M2"], N=free["N"],
+            list(letters.values()), L3=free["L3"], M2=free["M2"], N=free["N"],
         )
     else:
         if metric_spec not in ("diagonal", "identity"):
             raise InputError("the rank-5 family condition is for the diagonal metric")
         condition = existence.st10_4symplectic_condition(
-            [letters[f"a{i}"] for i in range(1, 8)],
-            [letters[f"b{i}"] for i in range(1, 7)],
-            [letters[f"c{i}"] for i in range(1, 6)],
-            [letters[f"d{i}"] for i in range(1, 5)],
+            *([v for k, v in letters.items() if k[0] == group] for group in "abcd"),
             L3=free["L3"], M2=free["M2"], N1=free["N1"],
             S2=free["S2"], S3=free["S3"], P=free["P"],
         )
 
-    basis, names = spec["ansatz"]()
     solution = existence.closure_system(pres, p, fixed, basis, names)
     coeffs = [free[name] for name in names]
     closed = solution.is_member(coeffs)
-    condition_zero = scalars.is_zero(condition)
-    if closed != condition_zero:
+    exact = scalars.field(EXACT)
+    if closed != exact.is_zero(condition):
         raise RuntimeError(
             "condition formula and direct closure check disagree; "
             "this is a transcription bug"
@@ -453,14 +405,14 @@ def psymplectic(config, family, params_path, metric_spec):
     lines = [
         f"family {family}, p = {p}",
         f"{p}-symplectic: {verdict} "
-        f"(closedness condition = {scalars.format_scalar(condition)}; "
+        f"(closedness condition = {exact.format(condition)}; "
         "transversality: metric-power certificate)",
         f"some lambda closes the ansatz: {solution.consistent}",
     ]
     payload = {
         "family": family,
         "p": p,
-        "condition": scalars.scalar_to_json(condition),
+        "condition": exact.to_json(condition),
         "closed": closed,
         "solvable": solution.consistent,
         "transversality": positivity.certified("metric-power").to_json(),
@@ -503,11 +455,11 @@ def obstruct(config, cert_path, structure, library_name, search, p_value, mode, 
         if structure is None or p_value is None:
             raise InputError("--search needs --structure and --p")
         pres = _resolve_structure(structure)
-        found = existence.certificate_search(pres, p_value, mode, budget)
+        found = existence.certificate_search(pres, p_value, mode, budget, config.epsilon)
         lines = [f"candidates found: {len(found)}"]
         payload = {"found": [c.to_json() for c in found]}
         for c in found:
-            report = existence.verify_obstruction_certificate(pres, c)
+            report = existence.verify_obstruction_certificate(pres, c, config.epsilon)
             lines.append(f"  beta = {c.beta}: {report.conclusion}")
         _emit(config, payload, lines)
         sys.exit(0 if found else 1)
@@ -524,8 +476,7 @@ def obstruct(config, cert_path, structure, library_name, search, p_value, mode, 
             raise InputError("certificate carries no structure; pass --structure")
         pres = _resolve_structure(spec)
 
-    tol = config.epsilon if pres.backend == FLOAT else None
-    report = existence.verify_obstruction_certificate(pres, cert, tol)
+    report = existence.verify_obstruction_certificate(pres, cert, config.epsilon)
     lines = [
         f"certificate valid: {report.valid}",
     ]

@@ -55,12 +55,6 @@ from .positivity import SimpleForm, is_decomposable
 from .scalars import GaussRational
 
 
-def _gr(x) -> GaussRational:
-    if isinstance(x, GaussRational):
-        return x
-    return GaussRational(x)
-
-
 def _conj(x):
     return scalars.conj(x)
 
@@ -119,8 +113,10 @@ class AnsatzSolution:
         return None if self.particular is None else list(self.particular)
 
     def to_json(self) -> dict:
+        to_json = scalars.field(self.pres.backend).to_json
+
         def vec(v):
-            return [scalars.scalar_to_json(x) for x in v]
+            return [to_json(x) for x in v]
 
         return {
             "p": self.p,
@@ -165,8 +161,9 @@ def closure_system(
         names = tuple(names)
 
     backend = pres.backend
+    field = scalars.field(backend)
     la = linalg.for_backend(backend)
-    i_unit = scalars.i_power(1, backend)
+    i_unit = field.i_power(1)
     # lambda = sum_i (x_i + i y_i) mu_i: x_i multiplies mu_i + conj(mu_i),
     # y_i multiplies i (mu_i - conj(mu_i)); both are real forms
     columns = []
@@ -177,14 +174,14 @@ def closure_system(
     matrix = operator_matrix(pres.d, columns, targets, backend)
     d_fixed = pres.d(fixed)
     rhs = [-d_fixed.coeff(m) for m in targets]
-    rows = [[scalars.real_part(x) for x in row] for row in matrix] + [
-        [scalars.imag_part(x) for x in row] for row in matrix
+    rows = [[x.real for x in row] for row in matrix] + [
+        [x.imag for x in row] for row in matrix
     ]
-    real_rhs = [scalars.real_part(b) for b in rhs] + [scalars.imag_part(b) for b in rhs]
+    real_rhs = [b.real for b in rhs] + [b.imag for b in rhs]
 
     def complex_coefficients(v):
         return tuple(
-            scalars.from_parts(v[2 * i], v[2 * i + 1], backend) for i in range(len(basis))
+            field.from_parts(v[2 * i], v[2 * i + 1]) for i in range(len(basis))
         )
 
     particular = la.solve(rows, real_rhs, 2 * len(basis))
@@ -235,9 +232,9 @@ def fps_psymplectic_condition(
     is read with the conjugation over the whole product u*A; the direct
     d Psi computation in the tests pins this reading.
     """
-    A, B, C, D, E, N = map(_gr, (A, B, C, D, E, N))
-    u, v, w = map(_gr, (u, v, w))
-    r2, s2, t2 = map(_gr, (r2, s2, t2))
+    A, B, C, D, E, N = map(GaussRational, (A, B, C, D, E, N))
+    u, v, w = map(GaussRational, (u, v, w))
+    r2, s2, t2 = map(GaussRational, (r2, s2, t2))
     i = GaussRational(0, 1)
     half = GaussRational(Fraction(1, 2))
     bracket = (
@@ -255,7 +252,7 @@ def fps_psymplectic_condition(
 
 def fps_skt_2symplectic_system(A, B, C, D, E, N) -> bool:
     """Diagonal-metric system: SKT identity plus the closedness scalar."""
-    A, B, C, D, E, N = map(_gr, (A, B, C, D, E, N))
+    A, B, C, D, E, N = map(GaussRational, (A, B, C, D, E, N))
     skt = A.abs2() + D.abs2() + E.abs2() + 2 * (_conj(B) * C).re
     half = GaussRational(Fraction(1, 2))
     closed = half * (_conj(C) - _conj(B)) - N * _conj(E)
@@ -300,11 +297,11 @@ def fps_solution_circle(aN, u, v) -> CircleLocus:
 def ft8_3symplectic_condition(a, L3=0, M2=0, N=0):
     """Closedness scalar for the rank-4 family:
     (3/4) i (a3 + a8 + a12) - conj(L3) a6 + conj(M2) a2 - conj(N) a1."""
-    a = [_gr(x) for x in a]
+    a = [GaussRational(x) for x in a]
     if len(a) != 12:
         raise ValueError("expected 12 structure coefficients")
     a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = a
-    L3, M2, N = map(_gr, (L3, M2, N))
+    L3, M2, N = map(GaussRational, (L3, M2, N))
     coeff = GaussRational(Fraction(3, 4)) * GaussRational(0, 1)
     return (
         coeff * (a3 + a8 + a12)
@@ -317,11 +314,11 @@ def ft8_3symplectic_condition(a, L3=0, M2=0, N=0):
 def ft8_combined_system(a, M2) -> bool:
     """Astheno identity with a8 = 0, the vanishing pattern, and the
     closedness scalar reduced to (3/4) i (a3 + a12) + conj(M2) a2 = 0."""
-    a = [_gr(x) for x in a]
+    a = [GaussRational(x) for x in a]
     if len(a) != 12:
         raise ValueError("expected 12 structure coefficients")
     a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = a
-    M2 = _gr(M2)
+    M2 = GaussRational(M2)
     if not (a8 == 0 and a1 == 0 and a4 == 0 and a6 == 0 and a7 == 0 and a9 == 0 and a11 == 0):
         return False
     astheno = a2.abs2() + a5.abs2() + a10.abs2() == 2 * (a3 * _conj(a12)).re
@@ -348,13 +345,13 @@ def st10_4symplectic_condition(a, b, c, d, L3=0, M2=0, N1=0, S2=0, S3=0, P=0):
     """Closedness scalar for the rank-5 family:
     (3/2)(d4+c4+b4+a4) - conj(L3) c1 + conj(M2) b2 - conj(N1) b1
     - conj(S2) a3 + conj(S3) a2 - conj(P) a1."""
-    a = [_gr(x) for x in a]
-    b = [_gr(x) for x in b]
-    c = [_gr(x) for x in c]
-    d = [_gr(x) for x in d]
+    a = [GaussRational(x) for x in a]
+    b = [GaussRational(x) for x in b]
+    c = [GaussRational(x) for x in c]
+    d = [GaussRational(x) for x in d]
     if (len(a), len(b), len(c), len(d)) != (7, 6, 5, 4):
         raise ValueError("expected letter counts (7, 6, 5, 4)")
-    L3, M2, N1, S2, S3, P = map(_gr, (L3, M2, N1, S2, S3, P))
+    L3, M2, N1, S2, S3, P = map(GaussRational, (L3, M2, N1, S2, S3, P))
     threehalf = GaussRational(Fraction(3, 2))
     return (
         threehalf * (d[3] + c[3] + b[3] + a[3])
@@ -372,13 +369,13 @@ def st10_combined_system(a, b, c, d, L3=0, P=0) -> bool:
     (a2 = a3 = a5 = a6 = a7 = b1 = b2 = b3 = b5 = b6 = c2 = c3 = c5 =
     d1 = d2 = d3 = 0): astheno identity split into two real lines, two
     orthogonality lines, and the closedness scalar."""
-    a = [_gr(x) for x in a]
-    b = [_gr(x) for x in b]
-    c = [_gr(x) for x in c]
-    d = [_gr(x) for x in d]
+    a = [GaussRational(x) for x in a]
+    b = [GaussRational(x) for x in b]
+    c = [GaussRational(x) for x in c]
+    d = [GaussRational(x) for x in d]
     if (len(a), len(b), len(c), len(d)) != (7, 6, 5, 4):
         raise ValueError("expected letter counts (7, 6, 5, 4)")
-    L3, P = map(_gr, (L3, P))
+    L3, P = map(GaussRational, (L3, P))
     pattern = (
         a[1] == 0 and a[2] == 0 and a[4] == 0 and a[5] == 0 and a[6] == 0
         and b[0] == 0 and b[1] == 0 and b[2] == 0 and b[4] == 0 and b[5] == 0
@@ -430,9 +427,7 @@ class ObstructionCertificate:
             "beta": form_to_json(self.beta),
             "decomposition": [
                 {
-                    "coefficient": scalars.scalar_to_json(
-                        scalars.to_scalar(c, self.beta.backend)
-                    ),
+                    "coefficient": scalars.field(self.beta.backend).to_json(c),
                     "factors": sf.to_json()["factors"],
                     "n": sf.n,
                 }
@@ -447,7 +442,7 @@ class ObstructionCertificate:
         beta = form_from_json(obj["beta"])
         decomposition = []
         for item in obj["decomposition"]:
-            coeff = scalars.scalar_from_json(item["coefficient"], beta.backend)
+            coeff = scalars.field(beta.backend).from_json(item["coefficient"])
             sf = SimpleForm.from_json(
                 {"n": item.get("n", beta.n), "factors": item["factors"]},
                 beta.backend,
@@ -500,19 +495,18 @@ def verify_obstruction_certificate(
     if cert.beta.n != n or cert.beta.backend != pres.backend:
         return CertificateReport(False, "", ["beta rank/backend mismatch"])
 
+    field = scalars.field(pres.backend)
     signs = set()
     rhs = InvariantForm.zero(n, pres.backend)
     for coeff, sf in cert.decomposition:
-        coeff = scalars.to_scalar(coeff, pres.backend)
-        im = scalars.imag_part(coeff)
-        re = scalars.real_part(coeff)
-        if not scalars.is_zero(scalars.to_scalar(im, pres.backend), tol):
+        coeff = field.coerce(coeff)
+        if not field.is_zero(coeff.imag, tol):
             return CertificateReport(
-                False, "", [f"coefficient {scalars.format_scalar(coeff)} is not real"]
+                False, "", [f"coefficient {field.format(coeff)} is not real"]
             )
-        if scalars.is_zero(coeff, tol):
+        if field.is_zero(coeff, tol):
             return CertificateReport(False, "", ["zero coefficient in decomposition"])
-        signs.add(1 if re > 0 else -1)
+        signs.add(1 if coeff.real > 0 else -1)
         psi_form = sf.to_form(pres.backend)
         if psi_form.terms and psi_form.bidegree() != (n - p, 0):
             return CertificateReport(
@@ -548,7 +542,7 @@ def verify_obstruction_certificate(
             "",
             [
                 "decomposition mismatch; residual coefficient of "
-                f"{mono} is {scalars.format_scalar(diff.terms[mono])}"
+                f"{mono} is {field.format(diff.terms[mono])}"
             ],
         )
     messages.append(
@@ -578,13 +572,13 @@ def certificate_search(
         return []
     found: list[ObstructionCertificate] = []
     examined = 0
-    unit_i = scalars.i_power(1, pres.backend)
+    field = scalars.field(pres.backend)
     for bid_p in range(required + 1):
         bid_q = required - bid_p
         if bid_p > n or bid_q > n:
             continue
         for mono in bidegree_basis(n, bid_p, bid_q):
-            for scale in (scalars.to_scalar(1, pres.backend), unit_i):
+            for scale in (field.one, field.i_power(1)):
                 if examined >= budget:
                     return found
                 examined += 1
@@ -603,6 +597,7 @@ def _diagonal_certificate(pres, p, mode, beta, tol):
         lhs = pres.del_delbar(beta).project(n - p, n - p)
     if lhs.is_zero(tol):
         return None
+    field = scalars.field(pres.backend)
     signs = set()
     decomposition = []
     for mono, coeff in lhs.terms.items():
@@ -610,11 +605,9 @@ def _diagonal_certificate(pres, p, mode, beta, tol):
             return None
         if mono.holo.bit_count() != n - p:
             return None
-        re = scalars.real_part(coeff)
-        im = scalars.imag_part(coeff)
-        if not scalars.is_zero(scalars.to_scalar(im, pres.backend), tol):
+        if not field.is_zero(coeff.imag, tol):
             return None
-        signs.add(1 if re > 0 else -1)
+        signs.add(1 if coeff.real > 0 else -1)
         sf = SimpleForm.coordinate(
             [i + 1 for i in range(n) if mono.holo & (1 << i)], n
         )
@@ -791,7 +784,7 @@ def _pencil_search(pres, f1, f2, dim_v) -> SimpleSearchVerdict:
     monos = set(a_form.terms) | set(b_form.terms) | set(c_form.terms)
     polys = []
     for m in monos:
-        poly = [_gr(c_form.coeff(m)), _gr(b_form.coeff(m)), _gr(a_form.coeff(m))]
+        poly = [c_form.coeff(m), b_form.coeff(m), a_form.coeff(m)]
         while poly and not poly[-1]:
             poly.pop()
         if poly:
@@ -819,10 +812,8 @@ def _pencil_search(pres, f1, f2, dim_v) -> SimpleSearchVerdict:
         )
     # degree-2 gcd: a common root exists in C but not necessarily in Q[i]
     c0, c1, c2 = g
-    poly_str = (
-        f"({scalars.format_scalar(c2)}) x^2 + ({scalars.format_scalar(c1)}) x "
-        f"+ ({scalars.format_scalar(c0)})"
-    )
+    fmt = scalars.field(pres.backend).format
+    poly_str = f"({fmt(c2)}) x^2 + ({fmt(c1)}) x + ({fmt(c0)})"
     disc = complex(c1) * complex(c1) - 4 * complex(c2) * complex(c0)
     root = (-complex(c1) + np.sqrt(complex(disc))) / (2 * complex(c2))
     xi_float = f1.to_float().scale(root) + f2.to_float()

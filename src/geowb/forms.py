@@ -149,8 +149,7 @@ class InvariantForm:
     __slots__ = ("n", "backend", "terms")
 
     def __init__(self, n: int, terms=None, backend: str = EXACT):
-        if backend not in scalars.BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
+        coerce = scalars.field(backend).coerce
         self.n = n
         self.backend = backend
         clean: dict[Monomial, object] = {}
@@ -158,8 +157,8 @@ class InvariantForm:
             for mono, coeff in terms.items():
                 if mono.holo >> n or mono.anti >> n:
                     raise ValueError(f"monomial {mono} exceeds rank {n}")
-                coeff = scalars.to_scalar(coeff, backend)
-                if coeff == 0:
+                coeff = coerce(coeff)
+                if not coeff:
                     continue
                 clean[mono] = coeff
         self.terms = clean
@@ -197,17 +196,16 @@ class InvariantForm:
         mono, sign = normalize_monomial(generators, n)
         if sign == 0:
             return cls.zero(n, backend)
-        return cls(n, {mono: scalars.to_scalar(coeff, backend) * sign}, backend)
+        return cls(n, {mono: scalars.field(backend).coerce(coeff) * sign}, backend)
 
     # ---- queries ------------------------------------------------------
 
     def is_zero(self, tol: float | None = None) -> bool:
-        if self.backend == EXACT:
-            return not self.terms
-        return all(scalars.is_zero(c, tol) for c in self.terms.values())
+        is_zero = scalars.field(self.backend).is_zero
+        return all(is_zero(c, tol) for c in self.terms.values())
 
     def coeff(self, mono: Monomial):
-        return self.terms.get(mono, scalars.to_scalar(scalars.ZERO, self.backend))
+        return self.terms.get(mono, scalars.field(self.backend).zero)
 
     def bidegrees(self) -> set[tuple[int, int]]:
         return {m.bidegree() for m in self.terms}
@@ -229,10 +227,9 @@ class InvariantForm:
 
     def equals(self, other: "InvariantForm", tol: float | None = None) -> bool:
         self._check_compatible(other)
-        if self.backend == EXACT:
-            return self.terms == other.terms
-        keys = set(self.terms) | set(other.terms)
-        return all(scalars.close(self.coeff(k), other.coeff(k), tol) for k in keys)
+        close = scalars.field(self.backend).close
+        keys = self.terms.keys() | other.terms.keys()
+        return all(close(self.coeff(k), other.coeff(k), tol) for k in keys)
 
     def __eq__(self, other):
         if not isinstance(other, InvariantForm):
@@ -272,7 +269,7 @@ class InvariantForm:
         )
 
     def scale(self, scalar) -> "InvariantForm":
-        scalar = scalars.to_scalar(scalar, self.backend)
+        scalar = scalars.field(self.backend).coerce(scalar)
         return InvariantForm(
             self.n, {m: c * scalar for m, c in self.terms.items()}, self.backend
         )
@@ -314,18 +311,15 @@ class InvariantForm:
         return self.conjugate().equals(self, tol)
 
     def to_float(self) -> "InvariantForm":
-        if self.backend == FLOAT:
-            return self
-        return InvariantForm(
-            self.n, {m: complex(c) for m, c in self.terms.items()}, FLOAT
-        )
+        return InvariantForm(self.n, self.terms, FLOAT)
 
     def __str__(self):
         if not self.terms:
             return "0"
+        fmt = scalars.field(self.backend).format
         parts = []
         for mono in sorted(self.terms, key=lambda m: (m.degree(), m.holo, m.anti)):
-            parts.append(f"({scalars.format_scalar(self.terms[mono])}) {mono}")
+            parts.append(f"({fmt(self.terms[mono])}) {mono}")
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -372,8 +366,8 @@ def sigma(p: int, backend: str = EXACT):
     """The normalisation constant i**(p*p) / 2**p, evaluated literally."""
     if p < 0:
         raise ValueError("sigma is defined for p >= 0")
-    exact = scalars.i_power(p * p) * GaussRational(Fraction(1, 2**p))
-    return scalars.to_scalar(exact, backend)
+    exact = scalars.field(EXACT).i_power(p * p) * GaussRational(Fraction(1, 2**p))
+    return scalars.field(backend).coerce(exact)
 
 
 def top_monomial(n: int) -> Monomial:
@@ -415,10 +409,11 @@ def bidegree_basis(n: int, p: int, q: int) -> list[Monomial]:
 
 
 def form_to_json(f: InvariantForm) -> dict:
+    to_json = scalars.field(f.backend).to_json
     terms = []
     for mono in sorted(f.terms, key=lambda m: (m.degree(), m.holo, m.anti)):
         entry = {"holo": list(mono.holo_indices), "anti": list(mono.anti_indices)}
-        entry.update(scalars.scalar_to_json(f.terms[mono]))
+        entry.update(to_json(f.terms[mono]))
         terms.append(entry)
     return {"n": f.n, "backend": f.backend, "terms": terms}
 
@@ -426,10 +421,11 @@ def form_to_json(f: InvariantForm) -> dict:
 def form_from_json(obj: dict) -> InvariantForm:
     n = int(obj["n"])
     backend = obj.get("backend", EXACT)
+    from_json = scalars.field(backend).from_json
     terms: dict[Monomial, object] = {}
     for entry in obj.get("terms", []):
         mono = Monomial.make(entry["holo"], entry["anti"], n)
-        coeff = scalars.scalar_from_json(entry, backend)
+        coeff = from_json(entry)
         if mono in terms:
             terms[mono] = terms[mono] + coeff
         else:

@@ -288,9 +288,10 @@ def complexify_real_presentation(
                 raise ValueError("pairing is not a perfect matching of 1..2n")
             used.add(x)
 
+    field = scalars.field(backend)
     half = Fraction(1, 2)
-    plus_half = scalars.to_scalar(scalars.GaussRational(half), backend)
-    i_half = scalars.to_scalar(scalars.GaussRational(0, half), backend)
+    plus_half = field.coerce(scalars.GaussRational(half))
+    i_half = field.coerce(scalars.GaussRational(0, half))
 
     # e^a = (phi^j + phibar^j)/2 ; e^b = (phi^j - phibar^j)/(2i)
     real_one_forms: dict[int, InvariantForm] = {}
@@ -305,10 +306,7 @@ def complexify_real_presentation(
         for i, j, coeff in entries:
             if not (1 <= i <= m and 1 <= j <= m) or i == j:
                 raise ValueError(f"bad real generator pair ({i},{j})")
-            term = wedge(real_one_forms[i], real_one_forms[j]).scale(
-                scalars.to_scalar(coeff, backend)
-            )
-            total = total + term
+            total = total + wedge(real_one_forms[i], real_one_forms[j]).scale(coeff)
         return total
 
     dphi = []
@@ -316,8 +314,7 @@ def complexify_real_presentation(
         # d phi^j = d e^a + i d e^b
         da = real_two_form(de[a - 1])
         db = real_two_form(de[b - 1])
-        i_unit = scalars.i_power(1, backend)
-        dphi.append(da + db.scale(i_unit))
+        dphi.append(da + db.scale(field.i_power(1)))
     return StructurePresentation(n, dphi, name=name, backend=backend)
 
 
@@ -339,19 +336,13 @@ def presentation_from_json(obj: dict) -> StructurePresentation:
     from .forms import form_from_json
 
     if "de" in obj:
-        backend = obj.get("backend", EXACT)
-        de = []
-        for entries in obj["de"]:
-            cooked = []
-            for e in entries:
-                coeff = e["coeff"]
-                if backend == EXACT and isinstance(coeff, str):
-                    coeff = Fraction(coeff)
-                cooked.append((int(e["i"]), int(e["j"]), coeff))
-            de.append(cooked)
+        de = [
+            [(int(e["i"]), int(e["j"]), e["coeff"]) for e in entries]
+            for entries in obj["de"]
+        ]
         pairing = [tuple(p) for p in obj["pairing"]]
         return complexify_real_presentation(
-            de, pairing, name=obj.get("name", ""), backend=backend
+            de, pairing, name=obj.get("name", ""), backend=obj.get("backend", EXACT)
         )
     n = int(obj["n"])
     backend = obj.get("backend", EXACT)

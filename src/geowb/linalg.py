@@ -158,7 +158,7 @@ def operator_matrix(op, source_forms, target_basis, backend: str):
     Column j holds the coefficients of ``op(source_forms[j])`` over the
     monomials ``target_basis``; every image must lie in their span.
     """
-    zero = scalars.to_scalar(scalars.ZERO, backend)
+    zero = scalars.field(backend).zero
     index = {m: r for r, m in enumerate(target_basis)}
     matrix = [[zero] * len(source_forms) for _ in target_basis]
     for c, form in enumerate(source_forms):

@@ -35,24 +35,21 @@ from fractions import Fraction
 from . import linalg, scalars
 from .forms import InvariantForm, Monomial, bidegree_basis, wedge
 from .lie import StructurePresentation
-from .scalars import EXACT, FLOAT, GaussRational
+from .scalars import EXACT, GaussRational
 
 
 class HermitianMetric:
     """n x n Hermitian coefficient matrix over either backend."""
 
     def __init__(self, entries, backend: str = EXACT, tol: float | None = None):
-        rows = [
-            [scalars.to_scalar(x, backend) for x in row] for row in entries
-        ]
+        field = scalars.field(backend)
+        rows = [[field.coerce(x) for x in row] for row in entries]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("metric matrix must be square")
         for j in range(n):
             for k in range(n):
-                if not scalars.close(
-                    rows[j][k], scalars.conj(rows[k][j]), tol
-                ):
+                if not field.close(rows[j][k], rows[k][j].conjugate(), tol):
                     raise ValueError(
                         f"matrix is not Hermitian at entry ({j + 1},{k + 1})"
                     )
@@ -75,18 +72,16 @@ class HermitianMetric:
     @classmethod
     def from_letters(cls, r2, s2, t2, u=0, v=0, w=0, backend: str = EXACT):
         """Build the n = 3 metric from the scalar letters (squares given)."""
-        minus_i = scalars.i_power(3, backend)
-        u = scalars.to_scalar(u, backend)
-        v = scalars.to_scalar(v, backend)
-        w = scalars.to_scalar(w, backend)
-        h12 = minus_i * u
-        h13 = minus_i * v
-        h23 = minus_i * w
+        field = scalars.field(backend)
+        minus_i = field.i_power(3)
+        h12 = minus_i * field.coerce(u)
+        h13 = minus_i * field.coerce(v)
+        h23 = minus_i * field.coerce(w)
         return cls(
             [
-                [scalars.to_scalar(r2, backend), h12, h13],
-                [scalars.conj(h12), scalars.to_scalar(s2, backend), h23],
-                [scalars.conj(h13), scalars.conj(h23), scalars.to_scalar(t2, backend)],
+                [r2, h12, h13],
+                [h12.conjugate(), s2, h23],
+                [h13.conjugate(), h23.conjugate(), t2],
             ],
             backend,
         )
@@ -95,12 +90,12 @@ class HermitianMetric:
         """The n = 3 letters (r2, s2, t2, u, v, w) of this metric."""
         if self.n != 3:
             raise ValueError("letters are defined for n = 3 only")
-        i_unit = scalars.i_power(1, self.backend)
+        i_unit = scalars.field(self.backend).i_power(1)
         h = self.entries
         return (
-            scalars.real_part(h[0][0]),
-            scalars.real_part(h[1][1]),
-            scalars.real_part(h[2][2]),
+            h[0][0].real,
+            h[1][1].real,
+            h[2][2].real,
             i_unit * h[0][1],
             i_unit * h[0][2],
             i_unit * h[1][2],
@@ -115,47 +110,38 @@ class HermitianMetric:
         return out
 
     def is_positive_definite(self, tol: float | None = None) -> bool:
-        for minor in self.leading_minors():
-            re = scalars.real_part(minor)
-            im = scalars.imag_part(minor)
-            if self.backend == EXACT:
-                if im != 0 or re <= 0:
-                    return False
-            else:
-                eps = scalars.DEFAULT_EPS if tol is None else tol
-                if abs(im) > eps or re <= eps:
-                    return False
-        return True
+        is_positive = scalars.field(self.backend).is_positive
+        return all(is_positive(minor, tol) for minor in self.leading_minors())
 
     def to_json(self) -> dict:
+        to_json = scalars.field(self.backend).to_json
         return {
             "n": self.n,
             "backend": self.backend,
-            "H": [[scalars.scalar_to_json(x) for x in row] for row in self.entries],
+            "H": [[to_json(x) for x in row] for row in self.entries],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "HermitianMetric":
         backend = obj.get("backend", EXACT)
-        entries = [
-            [scalars.scalar_from_json(x, backend) for x in row] for row in obj["H"]
-        ]
-        return cls(entries, backend)
+        from_json = scalars.field(backend).from_json
+        return cls([[from_json(x) for x in row] for row in obj["H"]], backend)
 
 
 def _determinant(block, backend):
     # fraction-free not needed at n <= 6; plain elimination over the field
     n = len(block)
     rows = [list(r) for r in block]
-    det = scalars.to_scalar(1, backend)
+    field = scalars.field(backend)
+    det = field.one
     for c in range(n):
         pivot = None
         for r in range(c, n):
-            if not scalars.is_zero(rows[r][c], 0.0 if backend == FLOAT else None):
+            if rows[r][c]:
                 pivot = r
                 break
         if pivot is None:
-            return scalars.to_scalar(0, backend)
+            return field.zero
         if pivot != c:
             rows[c], rows[pivot] = rows[pivot], rows[c]
             det = -det
@@ -173,7 +159,7 @@ def fundamental_form(metric: HermitianMetric) -> InvariantForm:
         raise ValueError("metric is not positive definite")
     n = metric.n
     backend = metric.backend
-    i_half = scalars.to_scalar(GaussRational(0, Fraction(1, 2)), backend)
+    i_half = scalars.field(backend).coerce(GaussRational(0, Fraction(1, 2)))
     terms = {}
     for j in range(1, n + 1):
         for k in range(1, n + 1):
@@ -232,6 +218,7 @@ def classify(
     if metric.n != pres.n or metric.backend != pres.backend:
         raise ValueError("metric and presentation must share rank and backend")
     n = pres.n
+    field = scalars.field(pres.backend)
     omega = fundamental_form(metric)
     powers = {1: omega}
     for k in (max(n - 2, 1), n - 1):
@@ -250,7 +237,7 @@ def classify(
             mono = next(iter(form_value.terms))
             evidence[name] = (
                 f"{statement} != 0; coefficient of {mono} is "
-                f"{scalars.format_scalar(form_value.terms[mono])}"
+                f"{field.format(form_value.terms[mono])}"
             )
 
     record("kahler", pres.d(omega), "d omega")
@@ -269,14 +256,15 @@ def classify(
     evidence["strongly_gauduchon"] = sg_evidence
 
     notes = []
-    if pres.backend == FLOAT:
+    tolerance = field.tolerance(tol)
+    if tolerance is not None:
         notes.append(
             "float backend: every flag but strongly_gauduchon is decided within "
-            f"the absolute tolerance {scalars.DEFAULT_EPS if tol is None else tol}, "
+            f"the absolute tolerance {tolerance}, "
             "strongly_gauduchon by numeric rank (relative cutoff "
             f"{linalg.RANK_RTOL:g})"
         )
-    return MetricReport(flags, evidence, pres.backend, tol, notes)
+    return MetricReport(flags, evidence, pres.backend, tolerance, notes)
 
 
 def _strongly_gauduchon(pres, omega_n1):

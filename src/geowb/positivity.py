@@ -51,7 +51,7 @@ from .forms import (
     wedge,
     wedge_monomials,
 )
-from .scalars import EXACT, FLOAT, GaussRational
+from .scalars import EXACT
 
 CERTIFIED_POSITIVE = "certified-positive"
 FALSIFIED = "falsified"
@@ -99,18 +99,13 @@ class SimpleForm:
     def to_form(self, backend: str = EXACT) -> InvariantForm:
         out = InvariantForm.unit(self.n, backend)
         for row in self.factors:
-            terms = {}
-            for j, c in enumerate(row, start=1):
-                c = scalars.to_scalar(c, backend)
-                if c != 0:
-                    terms[Monomial.make([j], [], self.n)] = c
+            terms = {Monomial.make([j], [], self.n): c for j, c in enumerate(row, start=1)}
             out = wedge(out, InvariantForm(self.n, terms, backend))
         return out
 
     def to_matrix(self) -> np.ndarray:
         return np.array(
-            [[complex(scalars.to_scalar(c, FLOAT)) for c in row] for row in self.factors],
-            dtype=complex,
+            [[complex(c) for c in row] for row in self.factors], dtype=complex
         )
 
     def gram_det(self) -> float:
@@ -120,23 +115,14 @@ class SimpleForm:
         return float(np.linalg.det(b @ b.conj().T).real)
 
     def to_json(self) -> dict:
-        rows = []
-        for row in self.factors:
-            cooked = []
-            for c in row:
-                if isinstance(c, GaussRational):
-                    cooked.append(scalars.scalar_to_json(c))
-                else:
-                    cooked.append(scalars.scalar_to_json(complex(c)))
-            rows.append(cooked)
+        rows = [[scalars.field_of(c).to_json(c) for c in row] for row in self.factors]
         return {"n": self.n, "factors": rows}
 
     @classmethod
     def from_json(cls, obj: dict, backend: str = EXACT) -> "SimpleForm":
-        rows = []
-        for row in obj["factors"]:
-            rows.append(tuple(scalars.scalar_from_json(c, backend) for c in row))
-        return cls(int(obj["n"]), tuple(rows))
+        from_json = scalars.field(backend).from_json
+        rows = tuple(tuple(from_json(c) for c in row) for row in obj["factors"])
+        return cls(int(obj["n"]), rows)
 
 
 @dataclass
@@ -227,8 +213,8 @@ def pairing_matrix(psi: InvariantForm):
     subsets = list(itertools.combinations(range(1, n + 1), q))
     index = {s: k for k, s in enumerate(subsets)}
     t = np.zeros((len(subsets), len(subsets)), dtype=complex)
-    sig = complex(scalars.to_scalar(sigma(q, psi.backend), FLOAT))
-    vol_unit = complex(scalars.to_scalar(sigma(n, psi.backend), FLOAT))
+    sig = complex(sigma(q, psi.backend))
+    vol_unit = complex(sigma(n, psi.backend))
     full = (1 << n) - 1
     for mono, coeff in psi.terms.items():
         holo_c = _indices(full & ~mono.holo)
@@ -239,7 +225,7 @@ def pairing_matrix(psi: InvariantForm):
         _, sign = wedge_monomials(mono, partner)
         if sign == 0:
             continue
-        value = complex(scalars.to_scalar(coeff, FLOAT)) * sign * sig / vol_unit
+        value = complex(coeff) * sign * sig / vol_unit
         t[index[holo_c], index[anti_c]] += value
     return subsets, t
 
@@ -327,7 +313,7 @@ def transversality_sample(
 
     if q == 0:
         # top-degree case: transversality is just positivity of the volume ratio
-        ratio = scalars.real_part(volume_ratio(psi))
+        ratio = volume_ratio(psi).real
         positive = ratio > 0
         if positive:
             return TransversalityVerdict(
@@ -410,16 +396,14 @@ class QuadricMatrix:
 
     def to_numpy(self) -> np.ndarray:
         return np.array(
-            [[complex(scalars.to_scalar(x, FLOAT)) for x in row] for row in self.entries],
-            dtype=complex,
+            [[complex(x) for x in row] for row in self.entries], dtype=complex
         )
 
     def is_hermitian(self, tol: float | None = None) -> bool:
+        close = scalars.field(self.backend).close
         for j in range(6):
             for k in range(6):
-                if not scalars.close(
-                    self.entries[j][k], scalars.conj(self.entries[k][j]), tol
-                ):
+                if not close(self.entries[j][k], self.entries[k][j].conjugate(), tol):
                     return False
         return True
 
@@ -457,21 +441,20 @@ def quadric_matrix(psi: InvariantForm, tol: float | None = None) -> QuadricMatri
 def omega_a_matrix(a, pair=(2, 5), backend: str = EXACT) -> QuadricMatrix:
     if tuple(pair) not in OMEGA_PAIRS:
         raise ValueError(f"pair must be one of {OMEGA_PAIRS}")
-    a = scalars.to_scalar(a, backend)
-    one = scalars.to_scalar(1, backend)
-    zero = scalars.to_scalar(0, backend)
+    field = scalars.field(backend)
+    a = field.coerce(a)
     i, j = pair
-    rows = [[zero] * 6 for _ in range(6)]
+    rows = [[field.zero] * 6 for _ in range(6)]
     for l in range(6):
-        rows[l][l] = one
+        rows[l][l] = field.one
     rows[i - 1][j - 1] = a
-    rows[j - 1][i - 1] = scalars.conj(a)
+    rows[j - 1][i - 1] = a.conjugate()
     return QuadricMatrix(tuple(tuple(r) for r in rows), backend)
 
 
 def omega_a_form(a, pair=(2, 5), backend: str = EXACT) -> InvariantForm:
     """Om_a as an invariant (2,2)-form on rank 4."""
-    a = scalars.to_scalar(a, backend)
+    a = scalars.field(backend).coerce(a)
     total = InvariantForm.zero(4, backend)
     for l in range(1, 7):
         om = omega_basis_form(l, backend=backend)
@@ -480,33 +463,28 @@ def omega_a_form(a, pair=(2, 5), backend: str = EXACT) -> InvariantForm:
     omi = omega_basis_form(i, backend=backend)
     omj = omega_basis_form(j, backend=backend)
     total = total + wedge(omi, omj.conjugate()).scale(a)
-    total = total + wedge(omj, omi.conjugate()).scale(scalars.conj(a))
+    total = total + wedge(omj, omi.conjugate()).scale(a.conjugate())
     return total
 
 
 def omega_a_verdict(a) -> bool:
-    """Transversality of Om_a: |a| < 2, compared exactly when possible."""
-    if isinstance(a, GaussRational):
-        return a.abs2() < 4
-    if isinstance(a, (int,)) or hasattr(a, "denominator"):
-        return GaussRational(a).abs2() < 4
-    return abs(complex(a)) ** 2 < 4
+    """Transversality of Om_a: |a| < 2, exact for an exact a."""
+    return (a * a.conjugate()).real < 4
 
 
 def recognize_omega_a(matrix: QuadricMatrix, tol: float | None = None):
     """(a, pair) if the matrix is Om_a with a != 0, else None."""
     entries = matrix.entries
-    backend = matrix.backend
-    one = scalars.to_scalar(1, backend)
+    field = scalars.field(matrix.backend)
     found = None
     for j in range(6):
         for k in range(6):
             x = entries[j][k]
             if j == k:
-                if not scalars.close(x, one, tol):
+                if not field.close(x, field.one, tol):
                     return None
                 continue
-            if scalars.is_zero(x, tol):
+            if field.is_zero(x, tol):
                 continue
             spot = (min(j, k) + 1, max(j, k) + 1)
             if spot not in OMEGA_PAIRS:
@@ -519,7 +497,7 @@ def recognize_omega_a(matrix: QuadricMatrix, tol: float | None = None):
         return None
     i, j = found
     a = entries[i - 1][j - 1]
-    if not scalars.close(entries[j - 1][i - 1], scalars.conj(a), tol):
+    if not field.close(entries[j - 1][i - 1], a.conjugate(), tol):
         return None
     return a, found
 
@@ -566,12 +544,10 @@ def quadric_transversality(
         hit = recognize_omega_a(matrix)
         if hit is not None:
             a, pair = hit
+            a_text = scalars.field(matrix.backend).format(a)
             if omega_a_verdict(a):
-                return certified(
-                    "omega-a-family",
-                    note=f"|a| < 2 with a = {scalars.format_scalar(a)}",
-                )
-            ac = complex(scalars.to_scalar(a, FLOAT))
+                return certified("omega-a-family", note=f"|a| < 2 with a = {a_text}")
+            ac = complex(a)
             z = _omega_a_boundary_witness(ac, pair)
             value = 2 * abs(ac) * (2 - abs(ac)) / float((np.conj(z) @ z).real)
             witness = _z_to_simple_form(z)
@@ -581,7 +557,7 @@ def quadric_transversality(
                 value=value,
                 certificate="omega-a-family",
                 tol=tol,
-                note=f"|a| >= 2 with a = {scalars.format_scalar(a)}",
+                note=f"|a| >= 2 with a = {a_text}",
             )
 
     a = matrix.to_numpy()

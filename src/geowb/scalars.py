@@ -1,13 +1,30 @@
-"""Scalar coefficient backends.
+"""Scalar coefficient fields, one per backend.
 
-Two backends are supported everywhere in the package:
+Two backends are supported everywhere in the package, named by the strings
+``"exact"`` and ``"float"`` (the names used in JSON and in every public
+signature).  ``field(backend)`` returns the backend's field object, and
+every exact-or-float decision in the package is made by that object:
 
-* ``"exact"`` -- Gaussian rationals, i.e. numbers ``a + b*i`` with ``a, b``
-  arbitrary-precision ``Fraction``s.  Arithmetic is closed and lossless and
-  equality is decidable, which is what makes the whole invariant calculus
-  exact.
-* ``"float"`` -- ordinary Python ``complex`` (pairs of 64-bit floats).
-  Comparisons use an absolute tolerance, ``DEFAULT_EPS`` unless overridden.
+* ``ExactField`` -- Gaussian rationals ``GaussRational``, numbers
+  ``a + b*i`` with ``a, b`` arbitrary-precision ``Fraction``s.  Arithmetic
+  is closed and lossless, so zero, equality and positivity are decided
+  exactly and every ``tol`` argument is ignored.
+* ``FloatField`` -- Python ``complex`` (pairs of 64-bit floats).  Zero,
+  closeness and positivity are decided within an absolute tolerance,
+  ``DEFAULT_EPS`` unless one is given.
+
+What a field decides:
+
+* ``coerce`` -- the field's scalar for a value (floats and complex numbers
+  are refused on the exact field); ``zero``, ``one``, ``i_power(k)`` and
+  ``from_parts(re, im)`` build scalars;
+* ``from_json``/``to_json`` -- the ``{"re": .., "im": ..}`` form of a
+  scalar; ``format`` prints one, and ``parse`` reads every string
+  ``format`` prints (``3/2``, ``2i``, ``1/2-3/4i``; a bare ``i`` is 1i);
+* ``is_zero(x, tol)`` -- for a scalar or a real part; ``close(a, b, tol)``;
+  ``is_positive(x, tol)`` -- real and > 0;
+* ``tolerance(tol)`` -- the tolerance a decision used: None on the exact
+  field, ``tol`` or ``DEFAULT_EPS`` on the float field.
 
 The float backend exists for presentations with transcendental structure
 constants (rotation angles and the like); everything with rational constants
@@ -21,14 +38,13 @@ from numbers import Rational
 
 EXACT = "exact"
 FLOAT = "float"
-BACKENDS = (EXACT, FLOAT)
 
 DEFAULT_EPS = 1e-12
 
 
 _FLOAT_REJECTED = (
-    "floating-point value passed to the exact backend; "
-    "use Fraction/GaussRational or switch to backend='float'"
+    "a float cannot enter an exact computation; "
+    'use an int, a Fraction or an exact "p/q" string'
 )
 
 
@@ -60,6 +76,14 @@ class GaussRational:
     @classmethod
     def i(cls):
         return cls(0, 1)
+
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
 
     def __add__(self, other):
         other = _coerce(other)
@@ -123,7 +147,8 @@ class GaussRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its rational real part, so it must hash like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -175,97 +200,146 @@ I = GaussRational(0, 1)
 _I_POWERS = (ONE, I, -ONE, -I)
 
 
-def to_scalar(value, backend):
-    """Coerce ``value`` into the given backend's scalar type.
+def _split_complex(text: str) -> tuple[str, str]:
+    """The real and imaginary part strings of ``x``, ``yi`` or ``x+yi``."""
+    text = text.strip()
+    if not text.endswith("i"):
+        return text, "0"
+    body = text[:-1]
+    # the imaginary part starts at the last sign that is neither leading
+    # nor the sign of an exponent
+    for k in range(len(body) - 1, 0, -1):
+        if body[k] in "+-" and body[k - 1] not in "eE":
+            re, im = body[:k], body[k:]
+            break
+    else:
+        re, im = "0", body
+    if im in ("", "+", "-"):
+        im += "1"
+    return re, im
 
-    Floats and complex numbers are rejected on the exact backend so that
-    rounding never sneaks into an exact computation.
-    """
-    if backend == EXACT:
-        if isinstance(value, GaussRational):
-            return value
-        if isinstance(value, Rational):
-            return GaussRational(value)
-        if isinstance(value, (float, complex)):
-            raise TypeError(_FLOAT_REJECTED)
-        raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
-    if backend == FLOAT:
-        if isinstance(value, GaussRational):
-            return complex(value)
-        if isinstance(value, (int, float, complex, Rational)):
-            return complex(value)
-        raise TypeError(f"cannot use {type(value).__name__} as a float scalar")
-    raise ValueError(f"unknown backend {backend!r}")
+
+class ExactField:
+    """Q[i] as ``GaussRational``: every decision is exact, ``tol`` is ignored."""
+
+    zero = ZERO
+    one = ONE
+
+    def coerce(self, value) -> GaussRational:
+        """What ``GaussRational`` takes: ints, Fractions and exact strings."""
+        return value if isinstance(value, GaussRational) else GaussRational(value)
+
+    def i_power(self, k: int) -> GaussRational:
+        return _I_POWERS[k % 4]
+
+    def from_parts(self, re, im) -> GaussRational:
+        return GaussRational(re, im)
+
+    def from_json(self, obj) -> GaussRational:
+        """Each part an ``int`` or an exact decimal or ``"p/q"`` string.
+
+        A JSON float, a bool or anything else raises ``TypeError``, a
+        malformed string ``ValueError``.
+        """
+        re, im = obj["re"], obj["im"]
+        if isinstance(re, bool) or isinstance(im, bool):
+            raise TypeError("a boolean is not an exact scalar part")
+        return GaussRational(re, im)
+
+    def to_json(self, value) -> dict:
+        value = self.coerce(value)
+        return {"re": str(value.re), "im": str(value.im)}
+
+    def format(self, value) -> str:
+        return str(self.coerce(value))
+
+    def parse(self, text: str) -> GaussRational:
+        return GaussRational(*_split_complex(text))
+
+    def tolerance(self, tol: float | None) -> None:
+        return None
+
+    def is_zero(self, x, tol: float | None = None) -> bool:
+        return not x
+
+    def close(self, a, b, tol: float | None = None) -> bool:
+        return a == b
+
+    def is_positive(self, x, tol: float | None = None) -> bool:
+        return not x.imag and x.real > 0
+
+
+class FloatField:
+    """Python ``complex``, compared within an absolute tolerance."""
+
+    zero = 0j
+    one = 1 + 0j
+
+    def coerce(self, value) -> complex:
+        """Any number (a ``GaussRational`` included) as a ``complex``."""
+        if isinstance(value, str):
+            raise TypeError("cannot use str as a float scalar")
+        return complex(value)
+
+    def i_power(self, k: int) -> complex:
+        return complex(_I_POWERS[k % 4])
+
+    def from_parts(self, re, im) -> complex:
+        return complex(re, im)
+
+    def from_json(self, obj) -> complex:
+        """Each part anything that ``float()`` takes."""
+        return complex(float(obj["re"]), float(obj["im"]))
+
+    def to_json(self, value) -> dict:
+        value = complex(value)
+        return {"re": repr(value.real), "im": repr(value.imag)}
+
+    def format(self, value) -> str:
+        value = complex(value)
+        if value.imag == 0:
+            return f"{value.real:g}"
+        if value.real == 0:
+            return f"{value.imag:g}i"
+        sign = "+" if value.imag > 0 else "-"
+        return f"{value.real:g}{sign}{abs(value.imag):g}i"
+
+    def parse(self, text: str) -> complex:
+        re, im = _split_complex(text)
+        return complex(float(re), float(im))
+
+    def tolerance(self, tol: float | None) -> float:
+        return DEFAULT_EPS if tol is None else tol
+
+    def is_zero(self, x, tol: float | None = None) -> bool:
+        return abs(x) <= self.tolerance(tol)
+
+    def close(self, a, b, tol: float | None = None) -> bool:
+        return self.is_zero(a - b, tol)
+
+    def is_positive(self, x, tol: float | None = None) -> bool:
+        eps = self.tolerance(tol)
+        return abs(x.imag) <= eps and x.real > eps
+
+
+_EXACT_FIELD = ExactField()
+_FLOAT_FIELD = FloatField()
+_FIELDS = {EXACT: _EXACT_FIELD, FLOAT: _FLOAT_FIELD}
+
+
+def field(backend: str):
+    """The field object of a backend name."""
+    try:
+        return _FIELDS[backend]
+    except KeyError:
+        raise ValueError(f"unknown backend {backend!r}") from None
+
+
+def field_of(value):
+    """The field of a value that carries no backend name (the factors of a
+    ``positivity.SimpleForm``): exact for a GaussRational, float otherwise."""
+    return _EXACT_FIELD if isinstance(value, GaussRational) else _FLOAT_FIELD
 
 
 def conj(value):
     return value.conjugate()
-
-
-def is_zero(value, tol: float | None = None) -> bool:
-    if isinstance(value, GaussRational):
-        return not value
-    if tol is None:
-        tol = DEFAULT_EPS
-    return abs(value) <= tol
-
-
-def close(a, b, tol: float | None = None) -> bool:
-    return is_zero(a - b, tol)
-
-
-def i_power(k: int, backend: str = EXACT):
-    """i**k, reduced exactly."""
-    return to_scalar(_I_POWERS[k % 4], backend)
-
-
-def from_parts(re, im, backend):
-    """The scalar re + i im on the given backend, from two real parts."""
-    if backend == EXACT:
-        return GaussRational(re, im)
-    return complex(re, im)
-
-
-def real_part(value):
-    if isinstance(value, GaussRational):
-        return value.re
-    return value.real
-
-
-def imag_part(value):
-    if isinstance(value, GaussRational):
-        return value.im
-    return value.imag
-
-
-def scalar_to_json(value):
-    if isinstance(value, GaussRational):
-        return {"re": str(value.re), "im": str(value.im)}
-    return {"re": repr(value.real), "im": repr(value.imag)}
-
-
-def scalar_from_json(obj, backend):
-    """Read a ``{"re": .., "im": ..}`` scalar, as ``scalar_to_json`` writes it.
-
-    On the exact backend each part must be what ``GaussRational`` takes: from
-    JSON, an ``int`` or an exact decimal or ``"p/q"`` string.  A JSON float,
-    a bool or anything else raises ``TypeError``, a malformed string
-    ``ValueError``.  The float backend reads any part that ``float()`` takes.
-    """
-    re, im = obj["re"], obj["im"]
-    if backend == EXACT:
-        if isinstance(re, bool) or isinstance(im, bool):
-            raise TypeError("a boolean is not an exact scalar part")
-        return GaussRational(re, im)
-    return complex(float(re), float(im))
-
-
-def format_scalar(value) -> str:
-    if isinstance(value, GaussRational):
-        return str(value)
-    if value.imag == 0:
-        return f"{value.real:g}"
-    if value.real == 0:
-        return f"{value.imag:g}i"
-    sign = "+" if value.imag > 0 else "-"
-    return f"{value.real:g}{sign}{abs(value.imag):g}i"

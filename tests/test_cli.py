@@ -155,3 +155,81 @@ def test_ddbar_lemma_bidegree_out_of_range_is_an_input_error(p, q):
     result = run("ddbar-lemma", "s1-pi2", "--p", str(p), "--q", str(q))
     assert result.exit_code == 2, result.output
     assert "out of range" in result.output
+
+
+def test_catalog_list():
+    from geowb import catalog
+
+    result = run("catalog", "list")
+    assert result.exit_code == 0, result.output
+    assert [line.split()[0] for line in result.output.splitlines()] == catalog.keys()
+    assert "[params: gamma, beta]" in result.output
+    payload = json.loads(run("--json", "catalog", "list").output)["catalog"]
+    assert [entry["key"] for entry in payload] == catalog.keys()
+
+
+class TestClassifyMetric:
+    def test_exact_key_has_no_tolerance(self):
+        result = run("--json", "--epsilon", "1e-6", "classify-metric", "nakamura-iv-6")
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["tolerance"] is None and payload["notes"] == []
+        assert payload["flags"]["balanced"] and not payload["flags"]["kahler"]
+
+    def test_float_key_names_the_epsilon(self):
+        result = run("--json", "--epsilon", "1e-9", "classify-metric", "s1-pi2")
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["tolerance"] == 1e-9
+        assert "absolute tolerance 1e-09" in payload["notes"][0]
+
+
+class TestObstruct:
+    def test_library(self):
+        result = run("obstruct", "--library", "nakamura-iv-6-p2")
+        assert result.exit_code == 0, result.output
+        assert "no 2-symplectic structure" in result.output
+
+    def test_cert_file(self, tmp_path):
+        from geowb import catalog
+
+        key, cert = catalog.certificate_library()["nakamura-v-5-p3"]
+        doc = dict(cert.to_json(), structure=key)
+        assert run("obstruct", "--cert", write_json(tmp_path / "c.json", doc)).exit_code == 0
+        doc["decomposition"][0]["coefficient"] = {"re": "1", "im": "0"}  # wrong sign
+        result = run("obstruct", "--cert", write_json(tmp_path / "bad.json", doc))
+        assert result.exit_code == 1, result.output
+        assert "mismatch" in result.output
+
+    def test_search(self):
+        result = run("--json", "obstruct", "--search", "--structure", "nakamura-iv-6", "--p", "2")
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)["found"]) == 6
+
+    def test_epsilon_reaches_the_search(self):
+        args = ("--json", "obstruct", "--search", "--structure", "s1-pi2", "--p", "2")
+        default = run(*args)
+        assert default.exit_code == 0, default.output
+        assert len(json.loads(default.output)["found"]) == 2
+        loose = run("--epsilon", "10", *args)
+        assert loose.exit_code == 1, loose.output
+        assert json.loads(loose.output)["found"] == []
+
+
+@pytest.mark.parametrize("a, code", [("1+1i", 0), ("2i", 1), ("3/2-3/2i", 1)])
+def test_complex_omega_a(a, code):
+    result = run("--json", "transverse", f"--omega-a={a}")
+    assert result.exit_code == code, result.output
+    assert json.loads(result.output)["certificate"] == "omega-a-family"
+
+
+def test_internal_error_exits_3(monkeypatch):
+    from geowb import cli
+
+    def broken(pres):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.existence, "bott_chern_dimensions", broken)
+    result = run("bc-dims", "nakamura-iv-1")
+    assert result.exit_code == 3
+    assert "internal error: RuntimeError: boom" in result.output

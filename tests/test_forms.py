@@ -19,7 +19,7 @@ from geowb.forms import (
     wedge,
     wedge_all,
 )
-from geowb.scalars import EXACT, FLOAT, GaussRational, scalar_from_json
+from geowb.scalars import EXACT, FLOAT, GaussRational, field
 
 
 def gen(n, i, bar=False):
@@ -219,15 +219,15 @@ class TestBackends:
 
     def test_scalar_from_json_exact_rejects_floats(self):
         with pytest.raises(TypeError):
-            scalar_from_json({"re": 0.1, "im": "0"}, EXACT)
+            field(EXACT).from_json({"re": 0.1, "im": "0"})
         with pytest.raises(TypeError):
-            scalar_from_json({"re": "0", "im": True}, EXACT)
-        assert scalar_from_json({"re": "1/10", "im": 2}, EXACT) == GaussRational(
+            field(EXACT).from_json({"re": "0", "im": True})
+        assert field(EXACT).from_json({"re": "1/10", "im": 2}) == GaussRational(
             Fraction(1, 10), 2
         )
 
     def test_scalar_from_json_float_reads_floats(self):
-        assert scalar_from_json({"re": 0.1, "im": "0"}, FLOAT) == 0.1 + 0j
+        assert field(FLOAT).from_json({"re": 0.1, "im": "0"}) == 0.1 + 0j
 
     def test_agreement(self):
         suites.backends_agree(300)

@@ -1,0 +1,151 @@
+import ast
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import geowb
+import suites
+from geowb.scalars import DEFAULT_EPS, EXACT, FLOAT, GaussRational, field
+
+EXACT_FIELD = field(EXACT)
+FLOAT_FIELD = field(FLOAT)
+
+
+def test_unknown_backend():
+    with pytest.raises(ValueError, match="unknown backend"):
+        field("decimal")
+
+
+class TestHash:
+    def test_real_values_hash_like_their_rational(self):
+        assert len({1, GaussRational(1)}) == 1
+        assert hash(GaussRational(Fraction(-1, 2))) == hash(Fraction(-1, 2))
+        assert {Fraction(3, 4): "x"}[GaussRational(Fraction(3, 4))] == "x"
+
+    def test_equal_values_hash_alike(self):
+        rnd = random.Random(7)
+        for _ in range(200):
+            x = suites.random_scalar(rnd)
+            assert hash(GaussRational(x.re, x.im)) == hash(x)
+
+
+class TestParse:
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("3/2", GaussRational(Fraction(3, 2))),
+            ("0.25", GaussRational(Fraction(1, 4))),
+            ("1+1i", GaussRational(1, 1)),
+            ("2i", GaussRational(0, 2)),
+            ("-i", GaussRational(0, -1)),
+            ("1/2-3/4i", GaussRational(Fraction(1, 2), Fraction(-3, 4))),
+            ("-1/2i", GaussRational(0, Fraction(-1, 2))),
+        ],
+    )
+    def test_exact_strings(self, text, value):
+        assert EXACT_FIELD.parse(text) == value
+
+    def test_exact_round_trip(self):
+        rnd = random.Random(11)
+        for _ in range(500):
+            x = GaussRational(
+                Fraction(rnd.randint(-50, 50), rnd.randint(1, 50)),
+                Fraction(rnd.randint(-50, 50), rnd.randint(1, 50)),
+            )
+            assert EXACT_FIELD.parse(EXACT_FIELD.format(x)) == x
+
+    @pytest.mark.parametrize("text", ["", "1/0", "x", "1+", "0.5+0.5j"])
+    def test_exact_rejects_malformed(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            EXACT_FIELD.parse(text)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, -2j, 1e-05 + 2j, 0.5 - 1e20j, complex("inf")]
+    )
+    def test_float_reads_what_it_prints(self, value):
+        assert FLOAT_FIELD.parse(FLOAT_FIELD.format(value)) == pytest.approx(value, rel=1e-5)
+
+
+class TestDecisions:
+    def test_is_zero_takes_a_real_part(self):
+        tiny = Fraction(1, 10**20)
+        assert not EXACT_FIELD.is_zero(tiny)
+        assert not EXACT_FIELD.is_zero(GaussRational(0, tiny), tol=1.0)
+        assert FLOAT_FIELD.is_zero(float(tiny))
+        assert not FLOAT_FIELD.is_zero(1e-3)
+        assert FLOAT_FIELD.is_zero(1e-3, tol=1e-2)
+
+    def test_is_positive(self):
+        assert EXACT_FIELD.is_positive(GaussRational(Fraction(1, 10**20)))
+        assert not EXACT_FIELD.is_positive(GaussRational(1, Fraction(1, 10**20)))
+        assert not EXACT_FIELD.is_positive(GaussRational(0))
+        assert FLOAT_FIELD.is_positive(1 + 1e-13j)
+        assert not FLOAT_FIELD.is_positive(1e-13 + 0j)
+        assert not FLOAT_FIELD.is_positive(1 + 1e-3j, tol=1e-6)
+
+    def test_tolerance(self):
+        assert EXACT_FIELD.tolerance(1e-3) is None
+        assert FLOAT_FIELD.tolerance(None) == DEFAULT_EPS
+        assert FLOAT_FIELD.tolerance(1e-3) == 1e-3
+
+    def test_coerce(self):
+        assert EXACT_FIELD.coerce("-1/2") == GaussRational(Fraction(-1, 2))
+        with pytest.raises(TypeError, match="exact computation"):
+            EXACT_FIELD.coerce(0.5)
+        assert FLOAT_FIELD.coerce(GaussRational(1, 2)) == 1 + 2j
+        with pytest.raises(TypeError):
+            FLOAT_FIELD.coerce("1")
+
+
+def _backend_decisions(path: Path) -> list[str]:
+    """Comparisons with the backend names and type tests on GaussRational."""
+    names = {"EXACT", "FLOAT"}
+
+    def is_backend_name(node):
+        return (
+            (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.Constant) and node.value in (EXACT, FLOAT))
+        )
+
+    def mentions_gauss_rational(node):
+        return any(
+            (isinstance(n, ast.Name) and n.id == "GaussRational")
+            or (isinstance(n, ast.Attribute) and n.attr == "GaussRational")
+            for n in ast.walk(node)
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(is_backend_name(x) for op in operands for x in ast.walk(op)):
+                found.append(f"{path.name}:{node.lineno} compares with a backend name")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and mentions_gauss_rational(node.args[1])
+        ):
+            found.append(f"{path.name}:{node.lineno} tests isinstance(..., GaussRational)")
+    return found
+
+
+def test_only_scalars_decides_exact_or_float():
+    package = Path(geowb.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "scalars.py")
+    assert modules
+    assert [hit for p in modules for hit in _backend_decisions(p)] == []
+
+
+def test_the_guard_sees_a_branch(tmp_path):
+    module = tmp_path / "branchy.py"
+    module.write_text(
+        "def f(backend, x):\n"
+        "    if backend == EXACT or scalars.FLOAT != backend or backend == 'float':\n"
+        "        return isinstance(x, (int, scalars.GaussRational))\n"
+    )
+    assert len(_backend_decisions(module)) == 4
