@@ -13,11 +13,8 @@ from .scalars import EXACT, FLOAT, GaussRational
 from .forms import (
     InvariantForm,
     Monomial,
-    bidegree_project,
-    conjugate,
     form_from_json,
     form_to_json,
-    is_real,
     normalize_monomial,
     sigma,
     volume_form,
@@ -87,12 +84,10 @@ __all__ = [
     "AnsatzSolution",
     "ObstructionCertificate",
     "catalog",
-    "bidegree_project",
     "bott_chern_dimensions",
     "classify",
     "closure_system",
     "complexify_real_presentation",
-    "conjugate",
     "exact_simple_holomorphic_search",
     "form_from_json",
     "form_power",
@@ -107,7 +102,6 @@ __all__ = [
     "invariant_ddbar_lemma_check",
     "is_J_nilpotent",
     "is_p_pluriclosed",
-    "is_real",
     "normalize_monomial",
     "omega_a_form",
     "omega_a_matrix",

@@ -276,7 +276,9 @@ def classify_metric(config, structure, metric_spec, params_path):
                    "a (an integer, p/q, an exact decimal or a Gaussian "
                    "rational x+yi), e.g. '3/2', '-5/2', '0.25' or '1+1i'")
 @click.option("--quadric/--no-quadric", default=None,
-              help="force or forbid the rank-4 quadric path for (2,2)-forms")
+              help="the rank-4 quadric path, taken by default for rank-4 "
+                   "(2,2)-forms: --quadric on any other form is an input "
+                   "error, --no-quadric samples instead")
 @click.pass_obj
 @_guard
 def transverse(config, form_path, structure, omega_a, quadric):
@@ -302,11 +304,10 @@ def transverse(config, form_path, structure, omega_a, quadric):
         pres = _resolve_structure(structure)
         if pres.n != form.n:
             raise InputError("form rank does not match the structure")
-    bideg = form.bidegree()
-    use_quadric = quadric if quadric is not None else (
-        form.n == 4 and bideg == (2, 2)
-    )
-    if use_quadric and form.n == 4 and bideg == (2, 2):
+    eligible = form.n == 4 and form.bidegree() == (2, 2)
+    if quadric and not eligible:
+        raise InputError("--quadric needs a rank-4 (2,2)-form")
+    if eligible and quadric is not False:
         matrix = positivity.quadric_matrix(form)
         verdict = positivity.quadric_transversality(
             matrix, starts=64, seed=config.seed

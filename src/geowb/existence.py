@@ -39,11 +39,10 @@ has a single code path for both backends.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import catalog as _catalog
 from . import linalg, scalars
@@ -53,10 +52,6 @@ from .linalg import operator_matrix
 from .metrics import HermitianMetric, form_power, fundamental_form
 from .positivity import SimpleForm, is_decomposable
 from .scalars import GaussRational
-
-
-def _conj(x):
-    return scalars.conj(x)
 
 
 def _unit_forms(pres: StructurePresentation, basis) -> list[InvariantForm]:
@@ -108,9 +103,6 @@ class AnsatzSolution:
 
     def is_member(self, coefficients, tol: float | None = None) -> bool:
         return self.closure_residual(coefficients).is_zero(tol)
-
-    def sample_member(self):
-        return None if self.particular is None else list(self.particular)
 
     def to_json(self) -> dict:
         to_json = scalars.field(self.pres.backend).to_json
@@ -238,24 +230,24 @@ def fps_psymplectic_condition(
     i = GaussRational(0, 1)
     half = GaussRational(Fraction(1, 2))
     bracket = (
-        -r2 * t2 * _conj(B)
-        + s2 * t2 * _conj(C)
-        + GaussRational(v.abs2()) * _conj(B)
-        - GaussRational(w.abs2()) * _conj(C)
-        + i * t2 * u * _conj(D)
-        + i * t2 * _conj(u * A)
-        + v * _conj(w * D)
-        - _conj(v) * w * _conj(A)
+        -r2 * t2 * B.conjugate()
+        + s2 * t2 * C.conjugate()
+        + GaussRational(v.abs2()) * B.conjugate()
+        - GaussRational(w.abs2()) * C.conjugate()
+        + i * t2 * u * D.conjugate()
+        + i * t2 * (u * A).conjugate()
+        + v * (w * D).conjugate()
+        - v.conjugate() * w * A.conjugate()
     )
-    return -N * _conj(E) + half * bracket
+    return -N * E.conjugate() + half * bracket
 
 
 def fps_skt_2symplectic_system(A, B, C, D, E, N) -> bool:
     """Diagonal-metric system: SKT identity plus the closedness scalar."""
     A, B, C, D, E, N = map(GaussRational, (A, B, C, D, E, N))
-    skt = A.abs2() + D.abs2() + E.abs2() + 2 * (_conj(B) * C).re
+    skt = A.abs2() + D.abs2() + E.abs2() + 2 * (B.conjugate() * C).re
     half = GaussRational(Fraction(1, 2))
-    closed = half * (_conj(C) - _conj(B)) - N * _conj(E)
+    closed = half * (C.conjugate() - B.conjugate()) - N * E.conjugate()
     return skt == 0 and not closed
 
 
@@ -305,9 +297,9 @@ def ft8_3symplectic_condition(a, L3=0, M2=0, N=0):
     coeff = GaussRational(Fraction(3, 4)) * GaussRational(0, 1)
     return (
         coeff * (a3 + a8 + a12)
-        - _conj(L3) * a6
-        + _conj(M2) * a2
-        - _conj(N) * a1
+        - L3.conjugate() * a6
+        + M2.conjugate() * a2
+        - N.conjugate() * a1
     )
 
 
@@ -321,10 +313,10 @@ def ft8_combined_system(a, M2) -> bool:
     M2 = GaussRational(M2)
     if not (a8 == 0 and a1 == 0 and a4 == 0 and a6 == 0 and a7 == 0 and a9 == 0 and a11 == 0):
         return False
-    astheno = a2.abs2() + a5.abs2() + a10.abs2() == 2 * (a3 * _conj(a12)).re
+    astheno = a2.abs2() + a5.abs2() + a10.abs2() == 2 * (a3 * a12.conjugate()).re
     closed = (
         GaussRational(Fraction(3, 4)) * GaussRational(0, 1) * (a3 + a12)
-        + _conj(M2) * a2
+        + M2.conjugate() * a2
     )
     return astheno and not closed
 
@@ -355,12 +347,12 @@ def st10_4symplectic_condition(a, b, c, d, L3=0, M2=0, N1=0, S2=0, S3=0, P=0):
     threehalf = GaussRational(Fraction(3, 2))
     return (
         threehalf * (d[3] + c[3] + b[3] + a[3])
-        - _conj(L3) * c[0]
-        + _conj(M2) * b[1]
-        - _conj(N1) * b[0]
-        - _conj(S2) * a[2]
-        + _conj(S3) * a[1]
-        - _conj(P) * a[0]
+        - L3.conjugate() * c[0]
+        + M2.conjugate() * b[1]
+        - N1.conjugate() * b[0]
+        - S2.conjugate() * a[2]
+        + S3.conjugate() * a[1]
+        - P.conjugate() * a[0]
     )
 
 
@@ -385,14 +377,14 @@ def st10_combined_system(a, b, c, d, L3=0, P=0) -> bool:
     if not pattern:
         return False
     a1, a4, b4, c1, c4, d4 = a[0], a[3], b[3], c[0], c[3], d[3]
-    line1 = 2 * (d4 * _conj(a4) + d4 * _conj(b4) + d4 * _conj(c4)).re == c1.abs2()
-    line2 = 2 * (c4 * _conj(a4) + c4 * _conj(b4) + b4 * _conj(a4)).re == a1.abs2()
-    line3 = (c4 * _conj(b4) - d4 * _conj(a4)).re == 0
-    line4 = (b4 * _conj(d4) - c4 * _conj(a4)).re == 0
+    line1 = 2 * (d4 * a4.conjugate() + d4 * b4.conjugate() + d4 * c4.conjugate()).re == c1.abs2()
+    line2 = 2 * (c4 * a4.conjugate() + c4 * b4.conjugate() + b4 * a4.conjugate()).re == a1.abs2()
+    line3 = (c4 * b4.conjugate() - d4 * a4.conjugate()).re == 0
+    line4 = (b4 * d4.conjugate() - c4 * a4.conjugate()).re == 0
     closed = (
         GaussRational(Fraction(3, 2)) * (a4 + b4 + c4 + d4)
-        - c1 * _conj(L3)
-        - a1 * _conj(P)
+        - c1 * L3.conjugate()
+        - a1 * P.conjugate()
     )
     return line1 and line2 and line3 and line4 and not closed
 
@@ -793,9 +785,9 @@ def _pencil_search(pres, f1, f2, dim_v) -> SimpleSearchVerdict:
         return SimpleSearchVerdict(
             "obstruction", "every pencil element is simple", dim_v, xi=f2
         )
-    g = polys[0]
-    for p_next in polys[1:]:
-        g = _poly_gcd(g, p_next)
+    g = []
+    for poly in polys:
+        g = _poly_gcd(g, poly)
         if len(g) == 1:
             break
     if len(g) == 1:
@@ -804,18 +796,25 @@ def _pencil_search(pres, f1, f2, dim_v) -> SimpleSearchVerdict:
             "the Pluecker quadratics on the pencil have no common root",
             dim_v,
         )
+    field = scalars.field(pres.backend)
     if len(g) == 2:
-        root = -g[0] / g[1]
-        xi = f1.scale(root) + f2
+        root = -g[0]
+    else:
+        # monic degree-2 gcd: a common root exists in C; it lies in the
+        # field when the discriminant is a square there
+        c0, c1, _ = g
+        disc = c1 * c1 - 4 * c0
+        sqrt_disc = field.sqrt(disc)
+        root = None if sqrt_disc is None else (sqrt_disc - c1) / 2
+    if root is not None:
         return SimpleSearchVerdict(
-            "obstruction", "pencil has a rational simple element", dim_v, xi=xi
+            "obstruction",
+            "pencil has a rational simple element",
+            dim_v,
+            xi=f1.scale(root) + f2,
         )
-    # degree-2 gcd: a common root exists in C but not necessarily in Q[i]
-    c0, c1, c2 = g
-    fmt = scalars.field(pres.backend).format
-    poly_str = f"({fmt(c2)}) x^2 + ({fmt(c1)}) x + ({fmt(c0)})"
-    disc = complex(c1) * complex(c1) - 4 * complex(c2) * complex(c0)
-    root = (-complex(c1) + np.sqrt(complex(disc))) / (2 * complex(c2))
+    poly_str = f"(1) x^2 + ({field.format(c1)}) x + ({field.format(c0)})"
+    root = (cmath.sqrt(complex(disc)) - complex(c1)) / 2
     xi_float = f1.to_float().scale(root) + f2.to_float()
     return SimpleSearchVerdict(
         "obstruction",
@@ -828,7 +827,8 @@ def _pencil_search(pres, f1, f2, dim_v) -> SimpleSearchVerdict:
 
 
 def _poly_gcd(a, b):
-    """Monic gcd over Q[i][x]; polynomials as low-to-high coefficient lists."""
+    """Monic gcd over Q[i][x]; polynomials as low-to-high coefficient lists,
+    [] for the zero polynomial."""
     a = list(a)
     b = list(b)
     while b:

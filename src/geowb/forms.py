@@ -185,19 +185,6 @@ class InvariantForm:
         )
         return cls(n, {mono: 1}, backend)
 
-    @classmethod
-    def from_word(
-        cls,
-        n: int,
-        generators: Sequence[tuple[str, int]],
-        coeff=1,
-        backend: str = EXACT,
-    ) -> "InvariantForm":
-        mono, sign = normalize_monomial(generators, n)
-        if sign == 0:
-            return cls.zero(n, backend)
-        return cls(n, {mono: scalars.field(backend).coerce(coeff) * sign}, backend)
-
     # ---- queries ------------------------------------------------------
 
     def is_zero(self, tol: float | None = None) -> bool:
@@ -209,9 +196,6 @@ class InvariantForm:
 
     def bidegrees(self) -> set[tuple[int, int]]:
         return {m.bidegree() for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.bidegrees()) <= 1
 
     def bidegree(self) -> tuple[int, int] | None:
         degs = self.bidegrees()
@@ -298,15 +282,6 @@ class InvariantForm:
         terms = {m: c for m, c in self.terms.items() if m.bidegree() == (p, q)}
         return InvariantForm(self.n, terms, self.backend)
 
-    def components(self) -> dict[tuple[int, int], "InvariantForm"]:
-        out: dict[tuple[int, int], dict] = {}
-        for mono, coeff in self.terms.items():
-            out.setdefault(mono.bidegree(), {})[mono] = coeff
-        return {
-            pq: InvariantForm(self.n, terms, self.backend)
-            for pq, terms in out.items()
-        }
-
     def is_real(self, tol: float | None = None) -> bool:
         return self.conjugate().equals(self, tol)
 
@@ -348,18 +323,6 @@ def wedge_all(*factors: InvariantForm) -> InvariantForm:
     for f in factors[1:]:
         out = wedge(out, f)
     return out
-
-
-def conjugate(f: InvariantForm) -> InvariantForm:
-    return f.conjugate()
-
-
-def bidegree_project(f: InvariantForm, p: int, q: int) -> InvariantForm:
-    return f.project(p, q)
-
-
-def is_real(f: InvariantForm, tol: float | None = None) -> bool:
-    return f.is_real(tol)
 
 
 def sigma(p: int, backend: str = EXACT):

@@ -1,15 +1,19 @@
-"""Complex Lie-algebra presentations and the operators d, del, delbar.
+"""Complex Lie-algebra presentations and the derivations d, del, delbar.
 
 A presentation is the dual picture of a Lie algebra: the rank n and the
-values ``d phi^1, ..., d phi^n`` as invariant 2-forms.  The differential
-extends to all invariant forms by the graded Leibniz rule, with
+values ``d phi^1, ..., d phi^n`` as invariant 2-forms, with
 ``d phibar^i = conjugate(d phi^i)``.  ``d*d = 0`` on the generators is
-equivalent to the Jacobi identity and suffices for ``d*d = 0`` everywhere
-(again by Leibniz); ``validate`` checks exactly that.
+equivalent to the Jacobi identity and suffices for ``d*d = 0`` everywhere;
+``validate`` checks exactly that.
 
-A presentation is *integrable* (the complex structure it encodes has
-vanishing Nijenhuis tensor) when no ``d phi^i`` has a (0,2) component.
-On integrable presentations d splits as del + delbar by bidegree.
+d, del and delbar are odd derivations given by tables of their values on
+the 2n generators, built once per presentation: ``d phi^i`` and
+``d phibar^i`` for d, their (2,0) and (1,1) parts for del, their (1,1) and
+(0,2) parts for delbar.  One routine extends a table to monomials by the
+graded Leibniz rule, with one cache of monomial images per operator.
+del and delbar need an *integrable* presentation (no ``d phi^i`` has a
+(0,2) part: the Nijenhuis tensor vanishes), where d = del + delbar; this
+is decided once, when the presentation is built.
 """
 
 from __future__ import annotations
@@ -19,15 +23,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import scalars
-from .forms import InvariantForm, Monomial, wedge
+from .forms import InvariantForm, Monomial, wedge, wedge_monomials
 from .scalars import EXACT
 
 
 class StructurePresentation:
     """Rank n plus the differentials of the coframe generators.
 
-    Treat instances as immutable after construction; the differential
-    caches are internal memoisation only.
+    Treat instances as immutable after construction; the operator caches
+    are internal memoisation only.
     """
 
     def __init__(self, n: int, dphi, name: str = "", backend: str = EXACT):
@@ -47,92 +51,98 @@ class StructurePresentation:
         self.dphi = dphi
         self.name = name
         self.backend = backend
-        self._dmono_cache: dict[Monomial, InvariantForm] = {}
-        self._dgen_bar = tuple(f.conjugate() for f in dphi)
+        self._integrable = all(f.project(0, 2).is_zero() for f in dphi)
+        dphibar = [f.conjugate() for f in dphi]
+
+        def table(holo_values, anti_values):
+            # the values on phi^i and on phibar^i, keyed by i
+            return (
+                {i: f.terms for i, f in enumerate(holo_values, start=1)},
+                {i: f.terms for i, f in enumerate(anti_values, start=1)},
+            )
+
+        self._tables = {
+            "d": table(dphi, dphibar),
+            "del": table(
+                [f.project(2, 0) for f in dphi], [f.project(1, 1) for f in dphibar]
+            ),
+            "delbar": table(
+                [f.project(1, 1) for f in dphi], [f.project(0, 2) for f in dphibar]
+            ),
+        }
+        self._caches = {op: {} for op in self._tables}
 
     def __repr__(self):
         label = self.name or f"rank-{self.n}"
         return f"StructurePresentation({label}, backend={self.backend})"
 
-    # ---- the differential ----------------------------------------------
+    # ---- the three derivations ------------------------------------------
 
-    def d_generator(self, index: int, conjugated: bool = False) -> InvariantForm:
-        if not 1 <= index <= self.n:
-            raise ValueError(f"generator index {index} out of range 1..{self.n}")
-        return self._dgen_bar[index - 1] if conjugated else self.dphi[index - 1]
-
-    def d_monomial(self, mono: Monomial) -> InvariantForm:
-        cached = self._dmono_cache.get(mono)
-        if cached is not None:
-            return cached
-        word = [("h", i) for i in mono.holo_indices] + [
-            ("a", j) for j in mono.anti_indices
+    def _leibniz(self, op: str, mono: Monomial) -> InvariantForm:
+        """op(mono) = sum_t (-1)^t op(theta_t) ^ (mono without theta_t) over
+        the generators theta_t of mono in canonical order (op(theta_t) is a
+        2-form, so it moves to the front without a sign)."""
+        cache = self._caches[op]
+        image = cache.get(mono)
+        if image is not None:
+            return image
+        holo_table, anti_table = self._tables[op]
+        steps = [
+            (holo_table[i], Monomial(mono.holo ^ (1 << (i - 1)), mono.anti))
+            for i in mono.holo_indices
+        ] + [
+            (anti_table[i], Monomial(mono.holo, mono.anti ^ (1 << (i - 1))))
+            for i in mono.anti_indices
         ]
-        total = InvariantForm.zero(self.n, self.backend)
-        for t, (kind, index) in enumerate(word):
-            dg = self.d_generator(index, conjugated=(kind == "a"))
-            if dg.is_zero():
-                continue
-            prefix = Monomial.make(
-                [i for k, i in word[:t] if k == "h"],
-                [i for k, i in word[:t] if k == "a"],
-                self.n,
-            )
-            suffix = Monomial.make(
-                [i for k, i in word[t + 1 :] if k == "h"],
-                [i for k, i in word[t + 1 :] if k == "a"],
-                self.n,
-            )
-            piece = wedge(
-                wedge(InvariantForm(self.n, {prefix: 1}, self.backend), dg),
-                InvariantForm(self.n, {suffix: 1}, self.backend),
-            )
-            total = total + (piece if t % 2 == 0 else -piece)
-        self._dmono_cache[mono] = total
-        return total
+        terms: dict[Monomial, object] = {}
+        for t, (values, rest) in enumerate(steps):
+            for m, c in values.items():
+                product, sign = wedge_monomials(m, rest)
+                if sign == 0:
+                    continue
+                x = -c if (sign < 0) ^ (t & 1) else c
+                terms[product] = terms[product] + x if product in terms else x
+        image = cache[mono] = InvariantForm(self.n, terms, self.backend)
+        return image
 
-    def d(self, f: InvariantForm) -> InvariantForm:
+    def _extend(self, monomial_image, f: InvariantForm) -> InvariantForm:
+        """Sum the cached monomial images of the terms of f."""
         if f.n != self.n:
             raise ValueError(f"rank mismatch: form has {f.n}, presentation has {self.n}")
         if f.backend != self.backend:
             raise ValueError(
                 f"backend mismatch: form {f.backend}, presentation {self.backend}"
             )
-        total = InvariantForm.zero(self.n, self.backend)
+        terms: dict[Monomial, object] = {}
         for mono, coeff in f.terms.items():
-            total = total + self.d_monomial(mono).scale(coeff)
-        return total
+            for m, c in monomial_image(mono).terms.items():
+                x = c * coeff
+                terms[m] = terms[m] + x if m in terms else x
+        return InvariantForm(self.n, terms, self.backend)
 
-    # ---- Dolbeault operators ---------------------------------------------
+    def d_monomial(self, mono: Monomial) -> InvariantForm:
+        return self._leibniz("d", mono)
+
+    def d(self, f: InvariantForm) -> InvariantForm:
+        return self._extend(self.d_monomial, f)
 
     def is_integrable(self) -> bool:
-        return all(
-            f.project(0, 2).is_zero() for f in self.dphi
-        )
-
-    def _require_integrable(self):
-        if not self.is_integrable():
-            raise ValueError(
-                "presentation is not integrable: some d phi^i has a (0,2) part"
-            )
+        return self._integrable
 
     def del_(self, f: InvariantForm) -> InvariantForm:
         """The (p+1, q) part of d on each (p, q) component."""
-        self._require_integrable()
-        total = InvariantForm.zero(self.n, self.backend)
-        for (p, q), comp in f.components().items():
-            if p + 1 <= self.n:
-                total = total + self.d(comp).project(p + 1, q)
-        return total
+        return self._dolbeault("del", f)
 
     def delbar(self, f: InvariantForm) -> InvariantForm:
         """The (p, q+1) part of d on each (p, q) component."""
-        self._require_integrable()
-        total = InvariantForm.zero(self.n, self.backend)
-        for (p, q), comp in f.components().items():
-            if q + 1 <= self.n:
-                total = total + self.d(comp).project(p, q + 1)
-        return total
+        return self._dolbeault("delbar", f)
+
+    def _dolbeault(self, op: str, f: InvariantForm) -> InvariantForm:
+        if not self._integrable:
+            raise ValueError(
+                "presentation is not integrable: some d phi^i has a (0,2) part"
+            )
+        return self._extend(lambda mono: self._leibniz(op, mono), f)
 
     def del_delbar(self, f: InvariantForm) -> InvariantForm:
         return self.del_(self.delbar(f))

@@ -23,6 +23,8 @@ What a field decides:
   ``format`` prints (``3/2``, ``2i``, ``1/2-3/4i``; a bare ``i`` is 1i);
 * ``is_zero(x, tol)`` -- for a scalar or a real part; ``close(a, b, tol)``;
   ``is_positive(x, tol)`` -- real and > 0;
+* ``sqrt(x)`` -- a square root in the field, None when there is none (on
+  the exact field: when x is not a square in Q[i]);
 * ``tolerance(tol)`` -- the tolerance a decision used: None on the exact
   field, ``tol`` or ``DEFAULT_EPS`` on the float field.
 
@@ -33,6 +35,8 @@ should stay on the exact backend.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -268,6 +272,26 @@ class ExactField:
     def is_positive(self, x, tol: float | None = None) -> bool:
         return not x.imag and x.real > 0
 
+    def sqrt(self, value) -> GaussRational | None:
+        """x + yi with x^2 = (r + a)/2, y^2 = (r - a)/2 for value = a + bi
+        and r = |value|, when all three are rational."""
+        z = self.coerce(value)
+        r = _rational_sqrt(z.abs2())
+        if r is None:
+            return None
+        x, y = _rational_sqrt((r + z.re) / 2), _rational_sqrt((r - z.re) / 2)
+        if x is None or y is None:
+            return None
+        return GaussRational(x, y if z.im >= 0 else -y)
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The square root of a non-negative rational, None if irrational."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        return None
+    return Fraction(num, den)
+
 
 class FloatField:
     """Python ``complex``, compared within an absolute tolerance."""
@@ -320,6 +344,9 @@ class FloatField:
     def is_positive(self, x, tol: float | None = None) -> bool:
         eps = self.tolerance(tol)
         return abs(x.imag) <= eps and x.real > eps
+
+    def sqrt(self, value) -> complex:
+        return cmath.sqrt(complex(value))
 
 
 _EXACT_FIELD = ExactField()

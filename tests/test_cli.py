@@ -223,6 +223,39 @@ def test_complex_omega_a(a, code):
     assert json.loads(result.output)["certificate"] == "omega-a-family"
 
 
+class TestTransverseQuadricOption:
+    @staticmethod
+    def rank3_omega(tmp_path):
+        """The (1,1)-form (i/2) sum_j phi^j ^ phibar^j on rank 3."""
+        terms = [{"holo": [j], "anti": [j], "re": "0", "im": "1/2"} for j in (1, 2, 3)]
+        return write_json(tmp_path / "omega.json", {"n": 3, "terms": terms})
+
+    def test_quadric_on_an_ineligible_form_is_an_input_error(self, tmp_path):
+        result = run("transverse", "--form", self.rank3_omega(tmp_path), "--quadric")
+        assert result.exit_code == 2, result.output
+        assert "--quadric needs a rank-4 (2,2)-form" in result.output
+
+    @pytest.mark.parametrize("flag", [[], ["--no-quadric"]], ids=["default", "no-quadric"])
+    def test_an_ineligible_form_is_sampled(self, tmp_path, flag):
+        form = self.rank3_omega(tmp_path)
+        result = run("--json", "--samples", "50", "transverse", "--form", form, *flag)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["path"] == "sampling"
+
+    @pytest.mark.parametrize(
+        "flag, path", [("--quadric", "quadric"), ("--no-quadric", "sampling")]
+    )
+    def test_an_eligible_form(self, tmp_path, flag, path):
+        from geowb.forms import form_to_json
+        from geowb.metrics import HermitianMetric, form_power, fundamental_form
+
+        omega2 = form_power(fundamental_form(HermitianMetric.identity(4)), 2)
+        form = write_json(tmp_path / "omega2.json", form_to_json(omega2))
+        result = run("--json", "--samples", "50", "transverse", "--form", form, flag)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["path"] == path
+
+
 def test_internal_error_exits_3(monkeypatch):
     from geowb import cli
 

@@ -10,21 +10,28 @@ from fractions import Fraction
 import pytest
 
 from geowb import catalog
+from geowb import existence
 from geowb.existence import (
     bott_chern_dimensions,
+    certificate_search,
     closure_system,
     exact_simple_holomorphic_search,
     fps_ansatz_basis,
     fps_psymplectic_condition,
+    fps_skt_2symplectic_system,
     ft8_3symplectic_condition,
     ft8_ansatz_basis,
+    ft8_combined_system,
     invariant_ddbar_lemma_check,
     st10_4symplectic_condition,
     st10_ansatz_basis,
+    st10_combined_system,
+    verify_obstruction_certificate,
 )
 from geowb.forms import InvariantForm, Monomial, bidegree_basis
 from geowb.lie import StructurePresentation
 from geowb.metrics import HermitianMetric, classify, form_power, fundamental_form
+from geowb.positivity import is_decomposable
 from geowb.scalars import EXACT, FLOAT, GaussRational
 
 
@@ -228,6 +235,99 @@ def test_family_formula_matches_closure_solver(make_case, seed):
         assert condition(dict(zip(names, s))) == 0
 
 
+# ---- the diagonal-metric systems against classify and the solver ---------
+#
+# Each system claims: the flag of the identity metric holds and Psi is
+# closed.  Every case builds a member where both hold, then perturbs it
+# once so that only the flag fails and once so that only closedness fails;
+# each yields (system verdict, flag, closed).
+
+
+def solver_verdicts(pres, p, flag, ansatz, coefficients):
+    basis, names = ansatz
+    solution = closure_system(pres, p, metric_power(pres, p), basis, names)
+    member = solution.is_member([coefficients[name] for name in names])
+    return classify(pres, HermitianMetric.identity(pres.n))[flag], member
+
+
+def fps6_system_cases(rnd: random.Random):
+    A, B, D, E = (nonzero_gr(rnd) for _ in range(4))
+    # SKT: |A|^2 + |D|^2 + |E|^2 + 2 Re(conj(B) C) = 0
+    C = -GaussRational(A.abs2() + D.abs2() + E.abs2()) / (2 * B.conjugate())
+    # closed: (conj(C) - conj(B)) / 2 = N conj(E); A does not enter
+    N = (C.conjugate() - B.conjugate()) / (2 * E.conjugate())
+    L, M = gr(rnd), gr(rnd)
+    for a, n in ((A, N), (2 * A, N), (A, N + 1)):
+        pres = catalog.fps6(a, B, C, D, E)
+        coefficients = {"L": L, "M": M, "N": n}
+        yield (
+            fps_skt_2symplectic_system(a, B, C, D, E, n),
+            *solver_verdicts(pres, 2, "skt", fps_ansatz_basis(), coefficients),
+        )
+
+
+def ft8_system_cases(rnd: random.Random):
+    # the vanishing pattern a1 = a4 = a6 = a7 = a8 = a9 = a11 = 0
+    a = [GaussRational(0)] * 12
+    for k in (2, 5, 10, 12):
+        a[k - 1] = nonzero_gr(rnd)
+    # astheno: |a2|^2 + |a5|^2 + |a10|^2 = 2 Re(a3 conj(a12))
+    a[2] = GaussRational(a[1].abs2() + a[4].abs2() + a[9].abs2()) / (2 * a[11].conjugate())
+    # closed: (3/4) i (a3 + a12) + conj(M2) a2 = 0; a5 does not enter
+    M2 = (GaussRational(0, Fraction(-3, 4)) * (a[2] + a[11]) / a[1]).conjugate()
+    free = {"L1": gr(rnd), "L2": gr(rnd), "L3": gr(rnd), "M1": gr(rnd), "N": gr(rnd)}
+    off = a[:4] + [2 * a[4]] + a[5:]
+    for letters, m2 in ((a, M2), (off, M2), (a, M2 + 1)):
+        pres = catalog.ft8(*letters)
+        coefficients = {**free, "M2": m2}
+        yield (
+            ft8_combined_system(letters, m2),
+            *solver_verdicts(pres, 3, "astheno", ft8_ansatz_basis(), coefficients),
+        )
+
+
+def st10_system_cases(rnd: random.Random):
+    # on the reduced parameter set, a4 = b4 = s u and c4 = d4 = 2 s u with
+    # |u| = 1 satisfy both orthogonality lines; the astheno lines then ask
+    # |c1|^2 = 16 s^2 and |a1|^2 = 10 s^2
+    s = Fraction(rnd.randint(1, 3), rnd.randint(1, 2))
+    u = rnd.choice([GaussRational(1), GaussRational(0, -1),
+                    GaussRational(Fraction(3, 5), Fraction(4, 5))])
+    a, b, c, d = ([GaussRational(0)] * k for k in (7, 6, 5, 4))
+    a[3] = b[3] = u * s
+    c[3] = d[3] = u * (2 * s)
+    a[0] = rnd.choice([GaussRational(3, 1), GaussRational(-1, 3)]) * s
+    c1 = rnd.choice([GaussRational(4 * s), GaussRational(0, -4 * s)])
+    L3 = gr(rnd)
+    free = {name: gr(rnd) for name in st10_ansatz_basis()[1]}
+
+    def closing_p(c1):
+        # closed: (3/2)(a4 + b4 + c4 + d4) = c1 conj(L3) + a1 conj(P)
+        total = GaussRational(Fraction(3, 2)) * (a[3] + b[3] + c[3] + d[3])
+        return ((total - c1 * L3.conjugate()) / a[0]).conjugate()
+
+    for c1_value, p in ((c1, closing_p(c1)), (2 * c1, closing_p(2 * c1)), (c1, closing_p(c1) + 1)):
+        c_letters = [c1_value] + c[1:]
+        coefficients = {**free, "L3": L3, "P": p}
+        pres = catalog.st10(*a, *b, *c_letters, *d)
+        yield (
+            st10_combined_system(a, b, c_letters, d, L3=L3, P=p),
+            *solver_verdicts(pres, 4, "astheno", st10_ansatz_basis(), coefficients),
+        )
+
+
+@pytest.mark.parametrize(
+    "make_cases, seeds",
+    [(fps6_system_cases, range(40, 46)), (ft8_system_cases, range(50, 54)),
+     (st10_system_cases, range(60, 62))],
+    ids=["fps6", "ft8", "st10"],
+)
+def test_family_system_matches_classify_and_solver(make_cases, seeds):
+    for seed in seeds:
+        verdicts = list(make_cases(random.Random(seed)))
+        assert verdicts == [(True, True, True), (False, False, True), (False, True, False)]
+
+
 def test_closure_system_reports_an_inconsistent_ansatz():
     # fps6 with E = 1 is not Kaehler: omega is not closed, and an empty
     # ansatz has nothing to correct it with
@@ -281,3 +381,71 @@ def test_exact_backend_stays_exact():
     solution = closure_system(pres, 2, metric_power(pres, 2), *fps_ansatz_basis())
     assert all(isinstance(x, GaussRational) for x in solution.particular)
     assert all(isinstance(x, GaussRational) for k in solution.kernel for x in k)
+
+
+def pencil_presentation(c24) -> StructurePresentation:
+    """Rank 6: d phi^5 = phi^12 + phi^34, d phi^6 = phi^13 + c24 phi^24."""
+    n = 6
+    zero = InvariantForm.zero(n)
+
+    def two_form(*terms):
+        return InvariantForm(n, {Monomial.make(ij, [], n): c for ij, c in terms})
+
+    d5 = two_form(([1, 2], 1), ([3, 4], 1))
+    d6 = two_form(([1, 3], 1), ([2, 4], c24))
+    return StructurePresentation(n, [zero] * 4 + [d5, d6], name="pencil")
+
+
+class TestPencil:
+    def test_rational_roots_give_an_exact_witness(self):
+        pres = pencil_presentation(1)
+        verdict = exact_simple_holomorphic_search(pres, 2)
+        assert (verdict.kind, verdict.dim_image) == ("obstruction", 2)
+        assert verdict.minimal_polynomial is None
+        assert verdict.xi.backend == EXACT
+        assert is_decomposable(verdict.xi)
+        # the certificate path re-checks d-exactness and simplicity
+        checked = exact_simple_holomorphic_search(pres, 2, xi=verdict.xi)
+        assert checked.kind == "obstruction", checked.reason
+
+    def test_irrational_roots_keep_a_float_witness_and_a_monic_polynomial(self):
+        verdict = exact_simple_holomorphic_search(pencil_presentation(2), 2)
+        assert verdict.kind == "obstruction"
+        assert verdict.minimal_polynomial == "(1) x^2 + (0) x + (-2)"
+        assert verdict.xi.backend == FLOAT
+        assert is_decomposable(verdict.xi)
+
+
+# ---- certificate search ----------------------------------------------------
+
+
+class TestCertificateSearch:
+    @pytest.mark.parametrize(
+        "library_name, count, library_beta_found",
+        [("nakamura-iv-6-p2", 6, True), ("nakamura-v-5-p3", 4, True),
+         ("nakamura-v-14-p2", 3, False)],
+    )
+    def test_library_structures(self, library_name, count, library_beta_found):
+        key, cert = catalog.certificate_library()[library_name]
+        pres = catalog.get(key)
+        found = certificate_search(pres, cert.p)
+        assert len(found) == count
+        assert all(verify_obstruction_certificate(pres, c).valid for c in found)
+        assert any(c.beta == cert.beta for c in found) == library_beta_found
+
+    @pytest.mark.parametrize("budget", [0, 1, 7])
+    def test_examines_at_most_the_budget(self, monkeypatch, budget):
+        examined = []
+        original = existence._diagonal_certificate
+
+        def counting(pres, p, mode, beta, tol):
+            examined.append(beta)
+            return original(pres, p, mode, beta, tol)
+
+        monkeypatch.setattr(existence, "_diagonal_certificate", counting)
+        certificate_search(catalog.get("nakamura-iv-6"), 2, budget=budget)
+        assert len(examined) == budget
+
+    @pytest.mark.parametrize("mode, p", [("d", 4), ("delbar-del", 4)])
+    def test_negative_degree(self, mode, p):
+        assert certificate_search(catalog.get("nakamura-iv-6"), p, mode) == []

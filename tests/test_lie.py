@@ -100,8 +100,31 @@ class TestDolbeault:
         bad = InvariantForm(2, {Monomial.make([], [1, 2], 2): 1})
         pres = StructurePresentation(2, [bad, InvariantForm.zero(2)])
         assert not pres.is_integrable()
-        with pytest.raises(ValueError):
-            pres.del_(gen(2, 1))
+        for op in (pres.del_, pres.delbar, pres.del_delbar):
+            with pytest.raises(ValueError, match="not integrable"):
+                op(gen(2, 1))
+        assert pres.d(gen(2, 1)).equals(bad)
+
+    @pytest.mark.parametrize("key", catalog.keys())
+    def test_del_and_delbar_are_the_bidegree_parts_of_d(self, key):
+        pres = catalog.get(key)
+        assert pres.is_integrable()
+        tol = 1e-9 if pres.backend == FLOAT else None
+        rnd = random.Random(key)
+        for _ in range(10):
+            f = suites.random_form(rnd, pres.n, terms=6)
+            if pres.backend == FLOAT:
+                f = f.to_float()
+            want_del = InvariantForm.zero(pres.n, pres.backend)
+            want_delbar = InvariantForm.zero(pres.n, pres.backend)
+            for p, q in f.bidegrees():
+                d_part = pres.d(f.project(p, q))
+                if p < pres.n:
+                    want_del = want_del + d_part.project(p + 1, q)
+                if q < pres.n:
+                    want_delbar = want_delbar + d_part.project(p, q + 1)
+            assert pres.del_(f).equals(want_del, tol)
+            assert pres.delbar(f).equals(want_delbar, tol)
 
     def test_fps_del_delbar_omega(self):
         # diagonal metric: del delbar omega has the sign-definite coefficient

@@ -90,6 +90,29 @@ class TestDecisions:
         assert FLOAT_FIELD.tolerance(None) == DEFAULT_EPS
         assert FLOAT_FIELD.tolerance(1e-3) == 1e-3
 
+    @pytest.mark.parametrize(
+        "root",
+        [GaussRational(0), GaussRational(2), GaussRational(0, -2), GaussRational(1, 1),
+         GaussRational(Fraction(-3, 2), Fraction(1, 5)), GaussRational(Fraction(2, 7), -3)],
+    )
+    def test_exact_sqrt_of_a_square(self, root):
+        square = root * root
+        got = EXACT_FIELD.sqrt(square)
+        assert got * got == square
+        assert got in (root, -root)
+
+    @pytest.mark.parametrize(
+        "value",
+        [GaussRational(2), GaussRational(-3), GaussRational(0, 1), GaussRational(1, 1),
+         GaussRational(Fraction(1, 2)), GaussRational(3, 4) + 1],
+    )
+    def test_exact_sqrt_outside_q_i(self, value):
+        assert EXACT_FIELD.sqrt(value) is None
+
+    def test_float_sqrt(self):
+        assert FLOAT_FIELD.sqrt(-4) == 2j
+        assert FLOAT_FIELD.sqrt(2j) == pytest.approx(1 + 1j)
+
     def test_coerce(self):
         assert EXACT_FIELD.coerce("-1/2") == GaussRational(Fraction(-1, 2))
         with pytest.raises(TypeError, match="exact computation"):
