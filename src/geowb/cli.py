@@ -455,7 +455,11 @@ def obstruct(config, cert_path, structure, library_name, search, p_value, mode, 
     elif search:
         if structure is None or p_value is None:
             raise InputError("--search needs --structure and --p")
+        if budget < 1:
+            raise InputError(f"--budget must be at least 1, got {budget}")
         pres = _resolve_structure(structure)
+        if not 1 <= p_value <= pres.n - 1:
+            raise InputError(f"--p {p_value} out of range 1..{pres.n - 1} for rank {pres.n}")
         found = existence.certificate_search(pres, p_value, mode, budget, config.epsilon)
         lines = [f"candidates found: {len(found)}"]
         payload = {"found": [c.to_json() for c in found]}

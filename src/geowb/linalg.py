@@ -1,22 +1,27 @@
-"""Small dense linear algebra, one object per scalar backend.
+"""Small linear algebra, one object per scalar backend.
 
 Matrices are lists of row lists of backend scalars (or their real parts),
 and ``for_backend(backend)`` returns the object that owns
 ``pivot_columns``, ``rank``, ``solve`` and ``nullspace`` over them:
 
-* exact -- Gaussian elimination over Q[i] (or plain Fractions) through the
-  module-level ``rref``; results are exact.
+* exact -- Gauss-Jordan elimination over Q[i] (or plain Fractions)
+  through the module-level ``rref``; results are exact.
 * float -- numpy singular values with one rank rule: a singular value
   counts when it exceeds ``RANK_RTOL * max(1, s_0)``, s_0 the largest.
   ``solve`` calls a system consistent when appending the right-hand side
   leaves that rank unchanged.
 
-Sizes here are tiny (dimensions of invariant-form spaces, at most a few
-hundred), so straightforward row reduction is plenty.  ``operator_matrix``
-builds the matrix of a linear operator on forms for either object.
+Operator matrices on invariant forms have at most a few hundred rows and
+columns but are about 99% zeros: d, del and delbar send a monomial to a
+handful of monomials.  ``rref`` therefore takes a dense matrix but
+eliminates on sparse rows, so exact arithmetic is spent only on stored
+nonzero entries.  ``operator_matrix`` builds the matrix of a linear
+operator on forms for either object.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,43 +30,66 @@ from .scalars import EXACT, FLOAT
 
 RANK_RTOL = 1e-10
 
+_ONE = Fraction(1)  # 1 / x stays exact for int, Fraction and GaussRational x
+# the shared zeros that fill operator matrices and their real/imaginary rows
+_ZERO = scalars.ZERO
+_ZERO_RE = _ZERO.re
+
+
+def _subtract(row: dict, factor, tail: dict) -> None:
+    """row -= factor * tail, in place, deleting entries that cancel."""
+    minus = -factor
+    for c, x in tail.items():
+        y = row.get(c)
+        if y is None:
+            row[c] = minus * x
+        else:
+            y = y + minus * x
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+
 
 def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    """Reduced row echelon form of a dense matrix; returns (rows, pivots).
+
+    ``matrix`` is a list of equal-length rows of exact entries.  ``pivots``
+    lists the pivot columns in increasing order, and ``rows[r]`` is the
+    reduced row of pivot ``pivots[r]`` as a ``{column: entry}`` dict of its
+    nonzero entries, with entry 1 at the pivot.  Zero rows are dropped.
+
+    Rows enter one at a time: each is cleared at the pivot columns found
+    so far, and what is left, if anything, pivots at its first column,
+    which is then cleared from the earlier pivot rows.  A pivot row is
+    zero left of its pivot throughout, so the result is the (unique)
+    reduced row echelon form.
+    """
+    tails: dict[int, dict] = {}  # pivot column -> its row without the pivot 1
+    for dense in matrix:
+        # skip the shared zeros by identity before any value test
+        row = {c: x for c, x in enumerate(dense) if x is not _ZERO and x is not _ZERO_RE and x}
+        for p in [c for c in row if c in tails]:
+            _subtract(row, row.pop(p), tails[p])
+        if not row:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        pivot = min(row)
+        inv = _ONE / row.pop(pivot)
+        row = {c: x * inv for c, x in row.items()}
+        for tail in tails.values():
+            if pivot in tail:
+                _subtract(tail, tail.pop(pivot), row)
+        tails[pivot] = row
+    pivots = sorted(tails)
+    return [{p: 1, **tails[p]} for p in pivots], pivots
 
 
 class ExactLinalg:
     """Exact pivots, rank, solve and nullspace by ``rref``.
 
     Entries may be GaussRationals or Fractions; vectors that come back hold
-    the same kind of entries, with plain 0 and 1 where elimination leaves
-    them.
+    the same kind of entries, with plain 0 where ``rref`` stores no entry
+    and plain 1 at a free variable of a kernel vector.
     """
 
     def pivot_columns(self, matrix) -> list[int]:
@@ -73,14 +101,12 @@ class ExactLinalg:
 
     def solve(self, matrix, rhs, ncols: int):
         """One solution of A x = b (A m x ncols), or None if inconsistent."""
-        if not matrix:
-            return [0] * ncols
         rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
         if ncols in pivots:
             return None  # pivot in the rhs column
         solution = [0] * ncols
-        for r, c in enumerate(pivots):
-            solution[c] = rows[r][ncols]
+        for row, c in zip(rows, pivots):
+            solution[c] = row.get(ncols, 0)
         return solution
 
     def nullspace(self, matrix, ncols: int):
@@ -90,8 +116,8 @@ class ExactLinalg:
         for fc in sorted(set(range(ncols)) - set(pivots)):
             vec = [0] * ncols
             vec[fc] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][fc]
+            for row, pc in zip(rows, pivots):
+                vec[pc] = -row.get(fc, 0)
             basis.append(vec)
         return basis
 

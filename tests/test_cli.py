@@ -215,6 +215,27 @@ class TestObstruct:
         assert loose.exit_code == 1, loose.output
         assert json.loads(loose.output)["found"] == []
 
+    @pytest.mark.parametrize("p", ["9", "4", "0", "-1"])
+    def test_search_degree_out_of_range_is_an_input_error(self, p):
+        result = run("obstruct", "--search", "--structure", "nakamura-iv-6", "--p", p)
+        assert result.exit_code == 2, result.output
+        assert "out of range 1..3 for rank 4" in result.output
+        assert "candidates found" not in result.output
+
+    @pytest.mark.parametrize("mode", ["d", "delbar-del"])
+    def test_search_at_degree_n_minus_1_is_a_negative_answer(self, mode):
+        result = run("obstruct", "--search", "--structure", "nakamura-iv-6", "--p", "3",
+                     "--mode", mode)
+        assert result.exit_code == 1, result.output
+        assert "candidates found: 0" in result.output
+
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_search_budget_below_one_is_an_input_error(self, budget):
+        result = run("obstruct", "--search", "--structure", "nakamura-iv-6", "--p", "2",
+                     "--budget", budget)
+        assert result.exit_code == 2, result.output
+        assert "--budget must be at least 1" in result.output
+
 
 @pytest.mark.parametrize("a, code", [("1+1i", 0), ("2i", 1), ("3/2-3/2i", 1)])
 def test_complex_omega_a(a, code):

@@ -124,6 +124,22 @@ class TestBackendsAgree:
         assert len(got.kernel) == len(want.kernel)
 
 
+# rank-5 presentations, whose exact Bott-Chern tables take the sparse
+# elimination through matrices of up to a few hundred rows
+RANK5_CASES = {
+    "eta-beta-5": lambda: catalog.get("eta-beta-5"),
+    "nakamura-v-18": lambda: catalog.get("nakamura-v-18"),
+    "st10": lambda: member("st10", random.Random(14)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RANK5_CASES))
+def test_bott_chern_backends_agree_in_rank_5(key):
+    exact = RANK5_CASES[key]()
+    assert exact.n == 5
+    assert bott_chern_dimensions(float_copy(exact)) == bott_chern_dimensions(exact)
+
+
 class TestFloatCatalogueEntry:
     def test_bott_chern_table(self):
         table = bott_chern_dimensions(catalog.get("s1-pi2"))

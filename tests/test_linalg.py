@@ -11,7 +11,7 @@ from geowb import catalog, linalg
 from geowb.existence import exact_simple_holomorphic_search
 from geowb.forms import InvariantForm, Monomial
 from geowb.lie import StructurePresentation
-from geowb.scalars import EXACT, FLOAT, GaussRational
+from geowb.scalars import EXACT, FLOAT, ZERO, GaussRational
 
 EXACT_LA = linalg.for_backend(EXACT)
 FLOAT_LA = linalg.for_backend(FLOAT)
@@ -67,6 +67,156 @@ def test_backends_agree_on_random_matrices(seed):
                 break
         else:
             pytest.fail("no inconsistent right-hand side found")
+
+
+# ---- the sparse regime of operator matrices ------------------------------
+
+
+def dense_rref(matrix):
+    """Reference Gauss-Jordan on dense rows: (nonzero reduced rows, pivots)."""
+    rows = [list(r) for r in matrix]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+# zeros that are not the field's shared ZERO: a sparse elimination must
+# never store one or pivot on one
+COMPUTED_ZEROS = (GaussRational(1) - 1, Fraction(0), GaussRational(0, 0))
+
+
+def sparse_matrix(rnd: random.Random, m: int, k: int, rank: int):
+    """An m x k matrix of rank ``rank``, about 5% nonzero, zeros of all kinds.
+
+    Base row t has a nonzero at its own column c_t and at most one more
+    entry outside {c_1, ..., c_rank}, so the base rows are independent; the
+    other rows are scaled sums of one or two base rows.
+    """
+
+    def entry():
+        return GaussRational(Fraction(rnd.randint(-4, 4) or 1, rnd.randint(1, 3)),
+                             rnd.randint(-2, 2))
+
+    own = rnd.sample(range(k), rank)
+    others = [c for c in range(k) if c not in own]
+    base = []
+    for c in own:
+        row = {c: entry()}
+        if others and rnd.random() < 0.7:
+            row[rnd.choice(others)] = entry()
+        base.append(row)
+    rows = list(base)
+    while len(rows) < m:
+        row = {}
+        for t in rnd.sample(range(rank), min(rank, rnd.randint(1, 2))):
+            scale = entry()
+            for c, x in base[t].items():
+                row[c] = row.get(c, ZERO) + scale * x  # may cancel to a computed zero
+        rows.append(row)
+    rnd.shuffle(rows)
+    dense = []
+    for row in rows:
+        line = [ZERO] * k
+        for c in rnd.sample(range(k), 2):
+            line[c] = rnd.choice(COMPUTED_ZEROS)
+        for c, x in row.items():
+            line[c] = x
+        dense.append(line)
+    return dense
+
+
+def real_and_imaginary_rows(matrix):
+    """The Fraction rows ``closure_system`` builds from a Q[i] matrix."""
+    return [[x.real for x in row] for row in matrix] + [[x.imag for x in row] for row in matrix]
+
+
+def sparse_cases():
+    for seed in range(4):
+        rnd = random.Random(100 + seed)
+        rank = rnd.randint(8, 20)
+        a = sparse_matrix(rnd, 40, 30, rank)
+        yield f"gauss-{seed}", a, rank
+        yield f"fraction-{seed}", real_and_imaginary_rows(a), None
+
+
+SPARSE_CASES = {name: (a, rank) for name, a, rank in sparse_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_CASES))
+def test_sparse_rref_matches_dense_gauss_jordan(name):
+    a, rank = SPARSE_CASES[name]
+    k = len(a[0])
+    nonzero = sum(1 for row in a for x in row if x)
+    assert nonzero <= 0.1 * len(a) * k
+    want_rows, want_pivots = dense_rref(a)
+    rows, pivots = linalg.rref(a)
+    assert pivots == want_pivots
+    if rank is not None:
+        assert len(pivots) == rank
+    assert len(rows) == len(pivots)
+    for row, want, p in zip(rows, want_rows, pivots):
+        assert row[p] == 1
+        assert all(row.values()), "a zero entry is stored"
+        assert min(row) == p
+        assert [row.get(c, 0) for c in range(k)] == want
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_CASES))
+def test_sparse_nullspace_and_solve(name):
+    a, _ = SPARSE_CASES[name]
+    rnd = random.Random(name)
+    k = len(a[0])
+    rank = EXACT_LA.rank(a)
+    kernel = EXACT_LA.nullspace(a, k)
+    assert len(kernel) == k - rank
+    for v in kernel:
+        assert not any(mat_vec(a, v))
+    x0 = [Fraction(rnd.randint(-3, 3), rnd.randint(1, 2)) for _ in range(k)]
+    b = mat_vec(a, x0)
+    assert mat_vec(a, EXACT_LA.solve(a, b, k)) == b
+    inconsistent = 0
+    for i in rnd.sample(range(len(a)), 6):
+        c = list(b)
+        c[i] += 1
+        x = EXACT_LA.solve(a, c, k)
+        augmented_rank = len(dense_rref([row + [y] for row, y in zip(a, c)])[1])
+        if augmented_rank > rank:
+            assert x is None
+            inconsistent += 1
+        else:
+            assert mat_vec(a, x) == c
+    assert inconsistent
+
+
+def test_rref_of_empty_and_zero_matrices():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[], [], []]) == ([], [])
+    zeros = [[ZERO, ZERO.re, *COMPUTED_ZEROS, 0] for _ in range(5)]
+    assert linalg.rref(zeros) == ([], [])
+    assert EXACT_LA.rank(zeros) == 0
+    assert EXACT_LA.nullspace(zeros, 6) == [[int(i == j) for j in range(6)] for i in range(6)]
+    assert EXACT_LA.solve(zeros, [ZERO] * 5, 6) == [0] * 6
+    assert EXACT_LA.solve(zeros, [ZERO] * 4 + [GaussRational(0, 1)], 6) is None
+
+
+def test_rref_keeps_integer_input_exact():
+    rows, pivots = linalg.rref([[2, 1], [4, 2]])
+    assert (rows, pivots) == ([{0: 1, 1: Fraction(1, 2)}], [0])
+    assert isinstance(rows[0][1], Fraction)
 
 
 def test_float_rank_rule_is_relative_to_the_largest_singular_value():
