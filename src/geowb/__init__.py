@@ -36,6 +36,7 @@ from .metrics import (
     form_power,
     fundamental_form,
     is_p_pluriclosed,
+    metric_power,
 )
 from .positivity import (
     SimpleForm,
@@ -102,6 +103,7 @@ __all__ = [
     "invariant_ddbar_lemma_check",
     "is_J_nilpotent",
     "is_p_pluriclosed",
+    "metric_power",
     "normalize_monomial",
     "omega_a_form",
     "omega_a_matrix",

@@ -107,10 +107,10 @@ def _load_metric(spec: str, pres) -> metrics.HermitianMetric:
 
 def _emit(config: RunConfig, payload: dict, text_lines):
     if config.as_json:
-        click.echo(json.dumps(payload, indent=2, default=str))
+        click.echo(json.dumps(payload, indent=2, default=str), file=sys.stdout)
     else:
         for line in text_lines:
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
 
 
 def _guard(func):
@@ -122,7 +122,7 @@ def _guard(func):
         try:
             return func(*args, **kwargs)
         except InputError as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
         except click.ClickException:
             raise
@@ -131,7 +131,7 @@ def _guard(func):
         except BrokenPipeError:
             sys.exit(0)
         except Exception as exc:  # internal failure
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
             sys.exit(3)
 
     return wrapper
@@ -201,7 +201,7 @@ def catalog_show(config, key, params_path):
     pres = _resolve_structure(key, params_path)
     doc = presentation_to_json(pres)
     doc["provenance"] = cat.entry(key).provenance
-    click.echo(json.dumps(doc, indent=2))
+    click.echo(json.dumps(doc, indent=2), file=sys.stdout)
 
 
 # ---------------------------------------------------------------------------

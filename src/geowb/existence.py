@@ -49,7 +49,7 @@ from . import linalg, scalars
 from .forms import InvariantForm, Monomial, bidegree_basis, wedge
 from .lie import StructurePresentation
 from .linalg import operator_matrix
-from .metrics import HermitianMetric, form_power, fundamental_form
+from .metrics import HermitianMetric, metric_power
 from .positivity import SimpleForm, is_decomposable
 from .scalars import GaussRational
 
@@ -329,8 +329,7 @@ def ft8_ddbar_omega2(a) -> InvariantForm:
     pluriclosed obstruction certificate.
     """
     pres = _catalog.ft8(*a)
-    omega = fundamental_form(HermitianMetric.identity(4))
-    return pres.del_delbar(form_power(omega, 2))
+    return pres.del_delbar(metric_power(HermitianMetric.identity(4), 2))
 
 
 def st10_4symplectic_condition(a, b, c, d, L3=0, M2=0, N1=0, S2=0, S3=0, P=0):
@@ -556,12 +555,16 @@ def certificate_search(
     Tries beta = s * (basis monomial) for s in {1, i}; a hit is a beta
     whose relevant differential is a same-sign combination of diagonal
     blocks phi^I ^ phibar^I.  Only a limited certificate shape, but it is
-    the shape every catalogued obstruction takes.
+    the shape every catalogued obstruction takes.  ``p`` must lie in
+    1..n-1 and ``mode`` be ``"d"`` or ``"delbar-del"``; anything else
+    raises ``ValueError``.
     """
     n = pres.n
+    if not 1 <= p <= n - 1:
+        raise ValueError(f"p = {p} out of range 1..{n - 1} for rank {n}")
+    if mode not in ("d", "delbar-del"):
+        raise ValueError(f"mode must be 'd' or 'delbar-del', got {mode!r}")
     required = 2 * n - 2 * p - 1 if mode == "d" else 2 * n - 2 * p - 2
-    if required < 0:
-        return []
     found: list[ObstructionCertificate] = []
     examined = 0
     field = scalars.field(pres.backend)

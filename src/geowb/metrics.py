@@ -12,8 +12,16 @@ so that omega reads ``(i/2)(r^2 a^{1 1b} + s^2 a^{2 2b} + t^2 a^{3 3b})
 factor i relative to the matrix entries; it is fixed here once and used
 consistently by the existence-analysis conditions.
 
-Positive definiteness is decided through leading principal minors, which
-is exact on the exact backend.
+Every minor of H comes from one table, built once per metric:
+``HermitianMetric.minors()`` holds det H[I, J] for every pair of index sets
+I, J of equal size, by Laplace expansion from the minors one size smaller.
+Positive definiteness is read off its leading principal minors (exact on
+the exact backend), and the powers of omega straight off the table:
+
+    omega^k = k! (i/2)^k (-1)^(k(k-1)/2) sum_{|I|=|J|=k} det H[I,J] phi^I ^ phibar^J
+
+(``metric_power``).  ``form_power``, the iterated wedge, stays for forms
+that are not metric powers, and is the reference the tests compare with.
 
 Classifier flags (omega the fundamental form, n the rank):
 
@@ -29,13 +37,15 @@ Classifier flags (omega the fundamental form, n the rank):
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, scalars
 from .forms import InvariantForm, Monomial, bidegree_basis, wedge
 from .lie import StructurePresentation
-from .scalars import EXACT, GaussRational
+from .scalars import EXACT
 
 
 class HermitianMetric:
@@ -56,6 +66,7 @@ class HermitianMetric:
         self.n = n
         self.backend = backend
         self.entries = tuple(tuple(r) for r in rows)
+        self._minors = None
 
     @classmethod
     def identity(cls, n: int, backend: str = EXACT) -> "HermitianMetric":
@@ -101,13 +112,21 @@ class HermitianMetric:
             i_unit * h[1][2],
         )
 
+    def minors(self) -> list[dict[tuple[int, int], object]]:
+        """Every minor det H[rows, cols], built on the first call.
+
+        Entry k of the list maps each pair (rows, cols) of k-element index
+        bitmasks (bit i-1 for index i, as in ``forms``) to its k x k minor;
+        entry 0 is ``{(0, 0): 1}``.
+        """
+        if self._minors is None:
+            self._minors = _minor_table(self.entries, scalars.field(self.backend))
+        return self._minors
+
     def leading_minors(self):
         """Determinants of the leading principal blocks (all real)."""
-        out = []
-        for k in range(1, self.n + 1):
-            block = [list(self.entries[j][:k]) for j in range(k)]
-            out.append(_determinant(block, self.backend))
-        return out
+        table = self.minors()
+        return [table[k][(1 << k) - 1, (1 << k) - 1] for k in range(1, self.n + 1)]
 
     def is_positive_definite(self, tol: float | None = None) -> bool:
         is_positive = scalars.field(self.backend).is_positive
@@ -128,49 +147,96 @@ class HermitianMetric:
         return cls([[from_json(x) for x in row] for row in obj["H"]], backend)
 
 
-def _determinant(block, backend):
-    # fraction-free not needed at n <= 6; plain elimination over the field
-    n = len(block)
-    rows = [list(r) for r in block]
-    field = scalars.field(backend)
-    det = field.one
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            return field.zero
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c]
-        for r in range(c + 1, n):
-            factor = rows[r][c] / inv
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
-    return det
+@functools.cache
+def _index_pairs(n: int, size: int) -> tuple[tuple[int, int], ...]:
+    """Every (rows, cols) pair of ``size``-element index masks of rank n.
+
+    Ordered by the interleaved sorted indices (r1, c1, r2, c2, ...): the
+    order in which the iterated wedge omega^k first meets its monomials
+    when no minor of H vanishes.  ``metric_power`` keeps it, so a form
+    derived from a power lists its terms as it did from ``form_power``.
+    """
+
+    def pairs(size, first_row, first_col):
+        if size == 0:
+            yield 0, 0
+            return
+        for r in range(first_row, n):
+            for c in range(first_col, n):
+                for rows, cols in pairs(size - 1, r + 1, c + 1):
+                    yield rows | 1 << r, cols | 1 << c
+
+    return tuple(pairs(size, 0, 0))
+
+
+def _minor_table(h, field) -> list[dict[tuple[int, int], object]]:
+    """The minors of the Hermitian matrix h, size by size.
+
+    det H[rows, cols] is expanded along its lowest row, over the minors one
+    size smaller; det H[cols, rows] is its conjugate, and det H[rows, rows]
+    is real.
+    """
+    n = len(h)
+    table = [{(0, 0): field.one}]
+    for size in range(1, n + 1):
+        smaller = table[-1]
+        level = {}
+        for rows, cols in _index_pairs(n, size):
+            mirror = level.get((cols, rows))
+            if mirror is not None:
+                level[rows, cols] = mirror.conjugate()
+                continue
+            low = rows & -rows
+            row = h[low.bit_length() - 1]
+            rest = rows ^ low
+            det = field.zero
+            odd = False
+            bits = cols
+            while bits:
+                bit = bits & -bits
+                entry = row[bit.bit_length() - 1]
+                if entry:
+                    minor = smaller[rest, cols ^ bit]
+                    if minor:
+                        det = det - entry * minor if odd else det + entry * minor
+                odd = not odd
+                bits ^= bit
+            # a principal minor of a Hermitian matrix is real; on the float
+            # field this drops the rounding residue of its imaginary part
+            level[rows, cols] = field.from_parts(det.real, 0) if rows == cols else det
+        table.append(level)
+    return table
 
 
 def fundamental_form(metric: HermitianMetric) -> InvariantForm:
     """omega = (i/2) sum H[j][k] phi^j ^ phibar^k (requires H > 0)."""
+    return metric_power(metric, 1)
+
+
+def metric_power(metric: HermitianMetric, k: int) -> InvariantForm:
+    """omega^k of a positive-definite metric, read off its minors table.
+
+    omega^k = k! (i/2)^k (-1)^(k(k-1)/2) sum_{|I|=|J|=k} det H[I,J]
+    phi^I ^ phibar^J, equal to ``form_power(fundamental_form(metric), k)``;
+    k = 0 gives the unit.
+    """
+    n = metric.n
+    if not 0 <= k <= n:
+        raise ValueError(f"power must be in 0..{n}")
     if not metric.is_positive_definite():
         raise ValueError("metric is not positive definite")
-    n = metric.n
-    backend = metric.backend
-    i_half = scalars.field(backend).coerce(GaussRational(0, Fraction(1, 2)))
-    terms = {}
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            coeff = i_half * metric.entries[j - 1][k - 1]
-            if coeff == 0:
-                continue
-            terms[Monomial.make([j], [k], n)] = coeff
-    return InvariantForm(n, terms, backend)
+    sign = -1 if (k * (k - 1) // 2) & 1 else 1
+    exact = scalars.field(EXACT).i_power(k) * Fraction(sign * math.factorial(k), 2**k)
+    scale = scalars.field(metric.backend).coerce(exact)
+    terms = {
+        Monomial(rows, cols): scale * det
+        for (rows, cols), det in metric.minors()[k].items()
+    }
+    return InvariantForm(n, terms, metric.backend)
 
 
 def form_power(f: InvariantForm, k: int) -> InvariantForm:
+    """f^k by iterated wedge products; ``metric_power`` for a metric's omega."""
     if k < 0:
         raise ValueError("power must be >= 0")
     out = InvariantForm.unit(f.n, f.backend)
@@ -220,10 +286,7 @@ def classify(
     n = pres.n
     field = scalars.field(pres.backend)
     omega = fundamental_form(metric)
-    powers = {1: omega}
-    for k in (max(n - 2, 1), n - 1):
-        if k >= 1 and k not in powers:
-            powers[k] = form_power(omega, k)
+    omega_n1 = metric_power(metric, n - 1)
 
     flags: dict[str, bool] = {}
     evidence: dict[str, str] = {}
@@ -245,13 +308,13 @@ def classify(
     if n >= 2:
         record(
             "astheno",
-            pres.del_delbar(powers[max(n - 2, 1)] if n > 2 else InvariantForm.unit(n, pres.backend)),
+            pres.del_delbar(metric_power(metric, n - 2)),
             f"del delbar omega^{n - 2}",
         )
-    record("balanced", pres.d(powers[n - 1]), f"d omega^{n - 1}")
-    record("gauduchon", pres.del_delbar(powers[n - 1]), f"del delbar omega^{n - 1}")
+    record("balanced", pres.d(omega_n1), f"d omega^{n - 1}")
+    record("gauduchon", pres.del_delbar(omega_n1), f"del delbar omega^{n - 1}")
 
-    sg, sg_evidence = _strongly_gauduchon(pres, powers[n - 1])
+    sg, sg_evidence = _strongly_gauduchon(pres, omega_n1)
     flags["strongly_gauduchon"] = sg
     evidence["strongly_gauduchon"] = sg_evidence
 

@@ -287,3 +287,25 @@ def test_internal_error_exits_3(monkeypatch):
     result = run("bc-dims", "nakamura-iv-1")
     assert result.exit_code == 3
     assert "internal error: RuntimeError: boom" in result.output
+
+
+def test_invocations_leave_no_captured_stream_alive():
+    # click.echo without a file caches the current stdout or stderr in a
+    # weak-key dictionary whose value can be the key itself, which keeps
+    # every stream a CliRunner captures into alive
+    import gc
+
+    from click.testing import _NamedTextIOWrapper
+
+    def alive():
+        gc.collect()
+        return sum(isinstance(o, _NamedTextIOWrapper) for o in gc.get_objects())
+
+    before = alive()
+    runner = CliRunner()
+    for _ in range(5):
+        assert runner.invoke(main, ["--json", "catalog", "list"]).exit_code == 0
+        assert runner.invoke(main, ["catalog", "show", "fps6"]).exit_code == 0
+        assert runner.invoke(main, ["bc-dims", "nakamura-iv-1"]).exit_code == 0
+        assert runner.invoke(main, ["bc-dims", "no-such-key"]).exit_code == 2
+    assert alive() <= before

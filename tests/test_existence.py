@@ -462,6 +462,15 @@ class TestCertificateSearch:
         certificate_search(catalog.get("nakamura-iv-6"), 2, budget=budget)
         assert len(examined) == budget
 
-    @pytest.mark.parametrize("mode, p", [("d", 4), ("delbar-del", 4)])
-    def test_negative_degree(self, mode, p):
-        assert certificate_search(catalog.get("nakamura-iv-6"), p, mode) == []
+    @pytest.mark.parametrize("key, mode, p", [
+        ("nakamura-iv-6", "d", 4), ("nakamura-iv-6", "delbar-del", 4),
+        ("nakamura-v-11", "d", 0), ("nakamura-v-11", "delbar-del", 0),
+    ])
+    def test_p_out_of_range_raises(self, key, mode, p):
+        pres = catalog.get(key)
+        with pytest.raises(ValueError, match=f"out of range 1..{pres.n - 1}"):
+            certificate_search(pres, p, mode)
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="mode"):
+            certificate_search(catalog.get("nakamura-iv-6"), 2, "del")

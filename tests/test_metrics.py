@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import suites
-from geowb import catalog
+from geowb import catalog, scalars
 from geowb.forms import InvariantForm, Monomial, wedge, volume_ratio
 from geowb.lie import StructurePresentation
 from geowb.metrics import (
     HermitianMetric,
     classify,
+    _strongly_gauduchon,
     form_power,
     fundamental_form,
     is_p_pluriclosed,
+    metric_power,
 )
 from geowb.scalars import EXACT, FLOAT, GaussRational
 
@@ -39,6 +42,29 @@ def random_pd_metric(rnd, n, backend=EXACT):
     return HermitianMetric(h, backend)
 
 
+def omega_of_entries(metric):
+    """(i/2) sum H[j][k] phi^j ^ phibar^k, written out from the entries."""
+    n = metric.n
+    half_i = scalars.field(metric.backend).coerce(G(0, Fraction(1, 2)))
+    terms = {
+        Monomial.make([j + 1], [k + 1], n): half_i * metric.entries[j][k]
+        for j in range(n)
+        for k in range(n)
+    }
+    return InvariantForm(n, terms, metric.backend)
+
+
+def fps6_product(first, second):
+    """The rank-6 product of two fps6 members, given by their letters."""
+    halves = [catalog.fps6(*first), catalog.fps6(*second)]
+    dphi = []
+    for offset, half in zip((0, 3), halves):
+        for f in half.dphi:
+            shifted = {Monomial(m.holo << offset, m.anti << offset): c for m, c in f.terms.items()}
+            dphi.append(InvariantForm(6, shifted))
+    return StructurePresentation(6, dphi, name="fps6-x-fps6")
+
+
 class TestHermitianMetric:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -63,6 +89,16 @@ class TestHermitianMetric:
     def test_positive_definite(self):
         assert HermitianMetric.identity(3).is_positive_definite()
         assert not HermitianMetric.diagonal([1, -1, 1]).is_positive_definite()
+
+    def test_float_leading_minors_match_numpy(self):
+        # leading minors up to order 1e5: the rounding residue of their
+        # imaginary parts exceeds the absolute tolerance unless principal
+        # minors are kept real
+        metric = random_pd_metric(random.Random(2), 5, FLOAT)
+        assert metric.is_positive_definite()
+        h = np.array(metric.entries)
+        for k, minor in enumerate(metric.leading_minors(), start=1):
+            assert minor == pytest.approx(np.linalg.det(h[:k, :k]), rel=1e-12)
 
     def test_letters_round_trip(self):
         metric = HermitianMetric.from_letters(
@@ -171,6 +207,36 @@ class TestFormPower:
         put([3, 2], [3, 1], -half * i * G(t2) * u.conjugate())
         assert sq.equals(InvariantForm(3, expected))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_metric_power_matches_form_power(self, n):
+        metric = random_pd_metric(random.Random(40 + n), n)
+        omega = omega_of_entries(metric)
+        for k in range(n + 1):
+            power = metric_power(metric, k)
+            reference = form_power(omega, k)
+            assert power == reference
+            # the same term order, so the classifier's evidence is unchanged
+            assert list(power.terms) == list(reference.terms)
+
+    def test_float_metric_power_matches_form_power(self):
+        metric = random_pd_metric(random.Random(7), 4, FLOAT)
+        omega = omega_of_entries(metric)
+        for k in range(5):
+            assert metric_power(metric, k).equals(form_power(omega, k), tol=1e-9)
+
+    def test_metric_power_of_sparse_metric(self):
+        # zero entries and zero minors: the powers still agree as forms
+        metric = HermitianMetric([[2, G(0, 1), 0], [G(0, -1), 1, 0], [0, 0, 3]])
+        omega = omega_of_entries(metric)
+        for k in range(4):
+            assert metric_power(metric, k) == form_power(omega, k)
+
+    def test_metric_power_rejects_indefinite_and_out_of_range(self):
+        with pytest.raises(ValueError):
+            metric_power(HermitianMetric.diagonal([1, -1]), 1)
+        with pytest.raises(ValueError):
+            metric_power(HermitianMetric.identity(2), 3)
+
     def test_top_power_positive(self):
         rnd = random.Random(23)
         for _ in range(20):
@@ -217,6 +283,67 @@ class TestClassify:
                     assert report["balanced"] and report["skt"] and report["astheno"]
                 if report["strongly_gauduchon"]:
                     assert report["gauduchon"]
+
+    @pytest.mark.parametrize("which", ["torus6", "fps6-product"])
+    def test_rank6_matches_form_power_reference(self, which):
+        rnd = random.Random(61)
+        if which == "torus6":
+            pres = torus(6)
+        else:
+            pres = fps6_product(
+                [G(1), G(0, -2), G(0, 1), G(0), G(0, 2)],
+                [G(0), G(1, 1), G(0), G(-1), G(1)],
+            )
+        metric = random_pd_metric(rnd, 6)
+        report = classify(pres, metric)
+
+        # the same checks on iterated-wedge powers
+        omega = omega_of_entries(metric)
+        omega4, omega5 = form_power(omega, 4), form_power(omega, 5)
+        checks = {
+            "kahler": (pres.d(omega), "d omega"),
+            "skt": (pres.del_delbar(omega), "del delbar omega"),
+            "astheno": (pres.del_delbar(omega4), "del delbar omega^4"),
+            "balanced": (pres.d(omega5), "d omega^5"),
+            "gauduchon": (pres.del_delbar(omega5), "del delbar omega^5"),
+        }
+        flags, evidence = {}, {}
+        for name, (value, statement) in checks.items():
+            flags[name] = value.is_zero()
+            if flags[name]:
+                evidence[name] = f"{statement} = 0"
+            else:
+                mono = next(iter(value.terms))
+                evidence[name] = (
+                    f"{statement} != 0; coefficient of {mono} is {value.terms[mono]}"
+                )
+        flags["strongly_gauduchon"], evidence["strongly_gauduchon"] = (
+            _strongly_gauduchon(pres, omega5)
+        )
+        assert report.flags == flags
+        assert report.evidence == evidence
+        if which == "fps6-product":
+            assert not all(flags.values())
+
+    def test_builds_one_minors_table_and_no_wedge_power(self, monkeypatch):
+        from geowb import metrics
+
+        built = []
+        original = metrics._minor_table
+
+        def counting(h, field):
+            built.append(h)
+            return original(h, field)
+
+        def refused(f, k):
+            raise AssertionError("classify took a power by iterated wedges")
+
+        monkeypatch.setattr(metrics, "_minor_table", counting)
+        monkeypatch.setattr(metrics, "form_power", refused)
+        metric = random_pd_metric(random.Random(5), 5)
+        assert metric.is_positive_definite()
+        classify(catalog.eta_beta5(), metric)
+        assert len(built) == 1
 
     def test_strongly_gauduchon_exact_solve(self):
         # parallelizable structures are balanced, hence strongly Gauduchon
