@@ -43,10 +43,10 @@ from .positivity import (
     TransversalityVerdict,
     omega_a_form,
     omega_a_matrix,
+    omega_a_transversality,
     omega_a_verdict,
     pairing,
     quadric_matrix,
-    quadric_transversality,
     transversality_sample,
 )
 from .existence import (
@@ -107,12 +107,12 @@ __all__ = [
     "normalize_monomial",
     "omega_a_form",
     "omega_a_matrix",
+    "omega_a_transversality",
     "omega_a_verdict",
     "pairing",
     "presentation_from_json",
     "presentation_to_json",
     "quadric_matrix",
-    "quadric_transversality",
     "sigma",
     "st10_4symplectic_condition",
     "st10_combined_system",

@@ -269,26 +269,22 @@ def classify_metric(config, structure, metric_spec, params_path):
 @main.command()
 @click.option("--form", "form_path", default=None, type=str,
               help="JSON file with the (p,p)-form to test")
-@click.option("--structure", "structure", default=None, type=str,
-              help="optional structure context (for rank/backend only)")
 @click.option("--omega-a", "omega_a", default=None, type=str,
               help="test the rank-4 quadric family member with this exact "
                    "a (an integer, p/q, an exact decimal or a Gaussian "
                    "rational x+yi), e.g. '3/2', '-5/2', '0.25' or '1+1i'")
 @click.option("--quadric/--no-quadric", default=None,
-              help="the rank-4 quadric path, taken by default for rank-4 "
-                   "(2,2)-forms: --quadric on any other form is an input "
-                   "error, --no-quadric samples instead")
+              help="try the exact Om_a rule first, by default for rank-4 "
+                   "(2,2)-forms; a form outside the Om_a family is sampled. "
+                   "--quadric on any other form is an input error, "
+                   "--no-quadric always samples")
 @click.pass_obj
 @_guard
-def transverse(config, form_path, structure, omega_a, quadric):
-    """Transversality of a real (p,p)-form: sampling or quadric criterion."""
+def transverse(config, form_path, omega_a, quadric):
+    """Transversality of a real (p,p)-form: the exact Om_a rule or sampling."""
     if omega_a is not None:
         a = _parse_param_value(omega_a, EXACT)
-        matrix = positivity.omega_a_matrix(a)
-        verdict = positivity.quadric_transversality(
-            matrix, starts=64, seed=config.seed
-        )
+        verdict = positivity.omega_a_transversality(positivity.omega_a_matrix(a))
         lines = [
             f"quadric family member, a = {scalars.field(EXACT).format(a)}",
             f"verdict: {verdict.kind}"
@@ -299,21 +295,19 @@ def transverse(config, form_path, structure, omega_a, quadric):
 
     if form_path is None:
         raise InputError("provide --form FILE or --omega-a VALUE")
-    form = form_from_json(_load_json(form_path))
-    if structure is not None:
-        pres = _resolve_structure(structure)
-        if pres.n != form.n:
-            raise InputError("form rank does not match the structure")
+    try:
+        form = form_from_json(_load_json(form_path))
+        positivity.pp_degree(form)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"bad form file {form_path}: {exc}") from exc
     eligible = form.n == 4 and form.bidegree() == (2, 2)
     if quadric and not eligible:
         raise InputError("--quadric needs a rank-4 (2,2)-form")
+    verdict = None
     if eligible and quadric is not False:
-        matrix = positivity.quadric_matrix(form)
-        verdict = positivity.quadric_transversality(
-            matrix, starts=64, seed=config.seed
-        )
+        verdict = positivity.omega_a_transversality(positivity.quadric_matrix(form))
         path = "quadric"
-    else:
+    if verdict is None:
         verdict = positivity.transversality_sample(
             form, samples=config.samples, seed=config.seed
         )

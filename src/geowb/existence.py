@@ -256,7 +256,7 @@ class CircleLocus:
     """The diagonal-metric solution circle in the (x, y) = (Re B, Im B) plane
     for fixed C = u + iv and a = |N|^2 > 0:
 
-        x^2 + y^2 + (4a - 2) x u + (4a - 2) y v + u^2 + v^2 = 0.
+        x^2 + y^2 + (8a - 2) x u + (8a - 2) y v + u^2 + v^2 = 0.
     """
 
     exists: bool
@@ -272,18 +272,17 @@ class CircleLocus:
 
 
 def fps_solution_circle(aN, u, v) -> CircleLocus:
-    """Circle data for the locus above; a circle exists iff
-    16 (u^2 + v^2)(aN^2 - aN) > 0, i.e. aN > 1 with (u, v) != 0."""
+    """Circle data for the locus above with a = aN; a circle exists iff
+    8 aN (2 aN - 1)(u^2 + v^2) > 0, i.e. aN > 1/2 with (u, v) != 0."""
     a = Fraction(aN)
     if a <= 0:
         raise ValueError("aN = |N|^2 must be positive")
     u = Fraction(u)
     v = Fraction(v)
-    shift = 2 * a - 1
+    shift = 4 * a - 1
     center = (-shift * u, -shift * v)
     radius2 = (shift * shift - 1) * (u * u + v * v)
-    exists = 16 * (u * u + v * v) * (a * a - a) > 0
-    return CircleLocus(exists=exists, center=center, radius2=radius2)
+    return CircleLocus(exists=radius2 > 0, center=center, radius2=radius2)
 
 
 def ft8_3symplectic_condition(a, L3=0, M2=0, N=0):

@@ -11,8 +11,8 @@ violating beta with random draws plus a per-sample coordinate-descent
 refinement.  Sampling can falsify but never certify -- transversality is
 universally quantified -- so positive outcomes are reported as
 ``not-falsified`` with the observed minimum.  Analytic certificates
-(metric powers, the quadric family below) are the only source of
-``certified-positive`` verdicts.
+(metric powers, top-degree forms, the Om_a family below) are the only
+source of ``certified-positive`` verdicts.
 
 For n = 4 a real (2, 2)-form is encoded by a 6 x 6 Hermitian matrix A in
 the basis
@@ -22,14 +22,15 @@ the basis
 
 chosen so that Om^j ^ Om^k = phi^{1234} exactly when k = 7 - j.  Under
 this encoding transversality is equivalent to positivity of z A z* on the
-Pluecker quadric  Q : z1 z6 + z2 z5 + z3 z4 = 0  (z != 0), which
-``quadric_transversality`` decides numerically by multi-start descent on
-the six affine charts of Q, or analytically for the one-parameter family
+Pluecker quadric  Q : z1 z6 + z2 z5 + z3 z4 = 0  (z != 0).
+``omega_a_transversality`` decides it exactly for the one-parameter family
 
     Om_a = sum_l Om^l ^ conj(Om^l) + a Om^i ^ conj(Om^j)
                                    + conj(a) Om^j ^ conj(Om^i)
 
-with (i, j) one of (1,6), (2,5), (3,4), which is transverse iff |a| < 2.
+with (i, j) one of (1,6), (2,5), (3,4), which is transverse iff |a| < 2
+(Om_0 is the identity matrix), and returns None for every other matrix;
+those forms are left to sampling.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import minimize
 
 from . import scalars
 from .forms import (
@@ -176,6 +175,17 @@ def certified(name: str, note: str = "") -> TransversalityVerdict:
 # ---- the exact pairing ---------------------------------------------------
 
 
+def pp_degree(psi: InvariantForm) -> int:
+    """p for a real form psi of bidegree (p, p), ValueError for any other
+    form; the zero form counts as an (n, n)-form."""
+    bideg = psi.bidegree()
+    if psi.terms and (bideg is None or bideg[0] != bideg[1]):
+        raise ValueError("psi must be homogeneous of bidegree (p, p)")
+    if not psi.is_real():
+        raise ValueError("psi must be real")
+    return bideg[0] if bideg else psi.n
+
+
 def pairing(psi: InvariantForm, beta: SimpleForm):
     """volume_ratio(sigma(n-p) * psi ^ beta ^ conj(beta)).
 
@@ -183,13 +193,7 @@ def pairing(psi: InvariantForm, beta: SimpleForm):
     result is a real scalar (imaginary part exactly zero on the exact
     backend).
     """
-    bideg = psi.bidegree()
-    if psi.terms and (bideg is None or bideg[0] != bideg[1]):
-        raise ValueError("psi must be homogeneous of bidegree (p, p)")
-    p = bideg[0] if bideg else psi.n
-    if not psi.is_real():
-        raise ValueError("psi must be real")
-    q = psi.n - p
+    q = psi.n - pp_degree(psi)
     if beta.degree != q:
         raise ValueError(f"beta must have degree {q}, got {beta.degree}")
     if beta.n != psi.n:
@@ -262,7 +266,11 @@ def _refine_pass(b: np.ndarray, t: np.ndarray, subsets) -> np.ndarray:
             gram_others = float(np.linalg.det(others @ others.conj().T).real)
             if gram_others <= 1e-12:
                 continue
-            basis = null_space(others.conj())
+            # null space of others.conj(); singular values above
+            # max * eps * max(shape) count towards the rank
+            _, sv, vh = np.linalg.svd(others.conj())
+            rank = int(np.sum(sv > sv.max() * np.finfo(float).eps * n))
+            basis = vh[rank:].conj().T
             if basis.shape[1] == 0:
                 continue
         s = np.zeros((len(subsets), n), dtype=complex)
@@ -288,9 +296,7 @@ def transversality_sample(
     samples: int = 10000,
     seed: int = 0,
     tol: float = FALSIFICATION_TOL,
-    refine: bool = True,
-    return_values: bool = False,
-):
+) -> TransversalityVerdict:
     """Randomised falsification search for transversality of psi.
 
     Draws ``samples`` simple forms with independent complex Gaussian factor
@@ -302,14 +308,8 @@ def transversality_sample(
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
-    bideg = psi.bidegree()
-    if psi.terms and (bideg is None or bideg[0] != bideg[1]):
-        raise ValueError("psi must be homogeneous of bidegree (p, p)")
-    if not psi.is_real():
-        raise ValueError("psi must be real")
     n = psi.n
-    p = bideg[0] if bideg else n
-    q = n - p
+    q = n - pp_degree(psi)
 
     if q == 0:
         # top-degree case: transversality is just positivity of the volume ratio
@@ -334,22 +334,17 @@ def transversality_sample(
     subsets, t = pairing_matrix(psi)
     rng = np.random.default_rng(seed)
     min_value = np.inf
-    values = [] if return_values else None
     for k in range(samples):
         b = (rng.standard_normal((q, n)) + 1j * rng.standard_normal((q, n))) / np.sqrt(2)
         value = _sample_value(b, t, subsets)
-        if refine and np.isfinite(value):
+        if np.isfinite(value):
             b = _refine_pass(b, t, subsets)
             value = _sample_value(b, t, subsets)
         if not np.isfinite(value):
-            if values is not None:
-                values.append(np.inf)
             continue
-        if values is not None:
-            values.append(value)
         min_value = min(min_value, value)
         if value <= tol:
-            verdict = TransversalityVerdict(
+            return TransversalityVerdict(
                 kind=FALSIFIED,
                 witness=SimpleForm.make([tuple(row) for row in b], n),
                 value=float(value),
@@ -357,19 +352,13 @@ def transversality_sample(
                 seed=seed,
                 tol=tol,
             )
-            if return_values:
-                return verdict, np.array(values)
-            return verdict
-    verdict = TransversalityVerdict(
+    return TransversalityVerdict(
         kind=NOT_FALSIFIED,
         min_value=float(min_value),
         samples=samples,
         seed=seed,
         tol=tol,
     )
-    if return_values:
-        return verdict, np.array(values)
-    return verdict
 
 
 # ---- the quadric criterion for (2,2)-forms on rank 4 ----------------------
@@ -394,11 +383,6 @@ class QuadricMatrix:
     entries: tuple[tuple[object, ...], ...]
     backend: str = EXACT
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array(
-            [[complex(x) for x in row] for row in self.entries], dtype=complex
-        )
-
     def is_hermitian(self, tol: float | None = None) -> bool:
         close = scalars.field(self.backend).close
         for j in range(6):
@@ -414,7 +398,7 @@ def omega_basis_form(j: int, n: int = 4, backend: str = EXACT) -> InvariantForm:
     return InvariantForm(n, {Monomial.make([a, b], [], n): sign}, backend)
 
 
-def quadric_matrix(psi: InvariantForm, tol: float | None = None) -> QuadricMatrix:
+def quadric_matrix(psi: InvariantForm) -> QuadricMatrix:
     """Coefficients of psi in the basis Om^j ^ conj(Om^k).
 
     Exact when psi is exact; the reconstruction
@@ -473,7 +457,8 @@ def omega_a_verdict(a) -> bool:
 
 
 def recognize_omega_a(matrix: QuadricMatrix, tol: float | None = None):
-    """(a, pair) if the matrix is Om_a with a != 0, else None."""
+    """(a, pair) if the matrix is Om_a, else None; the identity is Om_0,
+    with pair None."""
     entries = matrix.entries
     field = scalars.field(matrix.backend)
     found = None
@@ -494,7 +479,7 @@ def recognize_omega_a(matrix: QuadricMatrix, tol: float | None = None):
             elif found != spot:
                 return None
     if found is None:
-        return None
+        return field.zero, None
     i, j = found
     a = entries[i - 1][j - 1]
     if not field.close(entries[j - 1][i - 1], a.conjugate(), tol):
@@ -518,117 +503,28 @@ def _omega_a_boundary_witness(a: complex, pair) -> np.ndarray:
     return z
 
 
-def quadric_value(z: np.ndarray, a: np.ndarray) -> float:
-    return float((np.conj(z) @ a @ z).real / (np.conj(z) @ z).real)
-
-
-def quadric_transversality(
-    matrix: QuadricMatrix,
-    tol: float = FALSIFICATION_TOL,
-    starts: int = 64,
-    seed: int = 0,
-    analytic: bool = True,
-) -> TransversalityVerdict:
-    """Minimise z A z* over the unit sphere of the quadric Q.
-
-    The constraint is eliminated chart by chart: on the chart z_j != 0 the
-    partner coordinate (7 - j) is solved from the quadric equation, leaving
-    five free complex variables for unconstrained multi-start descent.
-    Matrices recognised as the Om_a family short-circuit to the exact
-    |a| < 2 criterion when ``analytic`` is set.
-    """
+def omega_a_transversality(matrix: QuadricMatrix) -> TransversalityVerdict | None:
+    """The exact verdict for a matrix of the Om_a family: certified when
+    |a| < 2, else falsified with a witness on the quadric.  None for any
+    other Hermitian matrix."""
     if not matrix.is_hermitian():
         raise ValueError("quadric matrix must be Hermitian")
-
-    if analytic:
-        hit = recognize_omega_a(matrix)
-        if hit is not None:
-            a, pair = hit
-            a_text = scalars.field(matrix.backend).format(a)
-            if omega_a_verdict(a):
-                return certified("omega-a-family", note=f"|a| < 2 with a = {a_text}")
-            ac = complex(a)
-            z = _omega_a_boundary_witness(ac, pair)
-            value = 2 * abs(ac) * (2 - abs(ac)) / float((np.conj(z) @ z).real)
-            witness = _z_to_simple_form(z)
-            return TransversalityVerdict(
-                kind=FALSIFIED,
-                witness=witness,
-                value=value,
-                certificate="omega-a-family",
-                tol=tol,
-                note=f"|a| >= 2 with a = {a_text}",
-            )
-
-    a = matrix.to_numpy()
-    rng = np.random.default_rng(seed)
-    partner = {0: 5, 5: 0, 1: 4, 4: 1, 2: 3, 3: 2}
-    best_value = np.inf
-    best_z = None
-
-    def reconstruct(chart: int, free: np.ndarray) -> np.ndarray | None:
-        z = np.zeros(6, dtype=complex)
-        free_idx = [i for i in range(6) if i != partner[chart]]
-        for i, idx in enumerate(free_idx):
-            z[idx] = free[i]
-        zj = z[chart]
-        if abs(zj) < 1e-9:
-            return None
-        rest = sum(
-            z[c] * z[d]
-            for c, d in ((0, 5), (1, 4), (2, 3))
-            if chart not in (c, d)
-        )
-        z[partner[chart]] = -rest / zj
-        return z
-
-    def objective(x: np.ndarray, chart: int) -> float:
-        free = x[:5] + 1j * x[5:]
-        z = reconstruct(chart, free)
-        if z is None:
-            return 1e6
-        nz = float((np.conj(z) @ z).real)
-        if nz < 1e-18:
-            return 1e6
-        return float((np.conj(z) @ a @ z).real / nz)
-
-    for s in range(starts):
-        chart = s % 6
-        x0 = rng.standard_normal(10)
-        x0 /= np.linalg.norm(x0)
-        res = minimize(
-            objective,
-            x0,
-            args=(chart,),
-            method="L-BFGS-B",
-            options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-12},
-        )
-        free = res.x[:5] + 1j * res.x[5:]
-        z = reconstruct(chart, free)
-        if z is None:
-            continue
-        value = quadric_value(z, a)
-        if value < best_value:
-            best_value = value
-            best_z = z / np.linalg.norm(z)
-
-    if best_z is None:
-        raise RuntimeError("quadric optimisation produced no usable point")
-    if best_value <= tol:
-        return TransversalityVerdict(
-            kind=FALSIFIED,
-            witness=_z_to_simple_form(best_z),
-            value=float(best_value),
-            samples=starts,
-            seed=seed,
-            tol=tol,
-        )
+    hit = recognize_omega_a(matrix)
+    if hit is None:
+        return None
+    a, pair = hit
+    a_text = scalars.field(matrix.backend).format(a)
+    if omega_a_verdict(a):
+        return certified("omega-a-family", note=f"|a| < 2 with a = {a_text}")
+    ac = complex(a)
+    z = _omega_a_boundary_witness(ac, pair)
     return TransversalityVerdict(
-        kind=NOT_FALSIFIED,
-        min_value=float(best_value),
-        samples=starts,
-        seed=seed,
-        tol=tol,
+        kind=FALSIFIED,
+        witness=_z_to_simple_form(z),
+        value=2 * abs(ac) * (2 - abs(ac)) / float((np.conj(z) @ z).real),
+        certificate="omega-a-family",
+        tol=FALSIFICATION_TOL,
+        note=f"|a| >= 2 with a = {a_text}",
     )
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -237,7 +240,7 @@ class TestObstruct:
         assert "--budget must be at least 1" in result.output
 
 
-@pytest.mark.parametrize("a, code", [("1+1i", 0), ("2i", 1), ("3/2-3/2i", 1)])
+@pytest.mark.parametrize("a, code", [("1+1i", 0), ("2i", 1), ("3/2-3/2i", 1), ("0", 0)])
 def test_complex_omega_a(a, code):
     result = run("--json", "transverse", f"--omega-a={a}")
     assert result.exit_code == code, result.output
@@ -268,13 +271,61 @@ class TestTransverseQuadricOption:
     )
     def test_an_eligible_form(self, tmp_path, flag, path):
         from geowb.forms import form_to_json
+        from geowb.positivity import omega_a_form
+
+        form = write_json(tmp_path / "omega1.json", form_to_json(omega_a_form(1)))
+        result = run("--json", "--samples", "50", "transverse", "--form", form, flag)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["path"] == path
+
+    @pytest.mark.parametrize("flag", [[], ["--quadric"]], ids=["default", "quadric"])
+    def test_a_form_outside_the_family_is_sampled(self, tmp_path, flag):
+        from geowb.forms import form_to_json
         from geowb.metrics import HermitianMetric, form_power, fundamental_form
 
         omega2 = form_power(fundamental_form(HermitianMetric.identity(4)), 2)
         form = write_json(tmp_path / "omega2.json", form_to_json(omega2))
-        result = run("--json", "--samples", "50", "transverse", "--form", form, flag)
+        result = run("--json", "--samples", "50", "transverse", "--form", form, *flag)
         assert result.exit_code == 0, result.output
-        assert json.loads(result.output)["path"] == path
+        out = json.loads(result.output)
+        assert out["path"] == "sampling" and out["kind"] == "not-falsified"
+
+    def test_structure_option_is_gone(self):
+        result = run("transverse", "--omega-a", "1", "--structure", "nakamura-iv-1")
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"terms": []}, "'n'"),
+        ({"n": 2, "terms": [{"holo": [1], "anti": [1], "re": 0.5, "im": 0}]},
+         "cannot enter an exact computation"),
+        ({"n": 2, "terms": [{"holo": [1], "anti": [2], "re": "1", "im": "0"}]},
+         "psi must be real"),
+        ({"n": 2, "terms": [{"holo": [1], "anti": [1], "re": "0", "im": "1/2"},
+                            {"holo": [1, 2], "anti": [1, 2], "re": "1", "im": "0"}]},
+         "must be homogeneous"),
+    ],
+    ids=["missing-n", "float", "not-real", "mixed-bidegree"],
+)
+def test_bad_transverse_form_is_an_input_error(tmp_path, doc, message):
+    result = run("transverse", "--form", write_json(tmp_path / "form.json", doc))
+    assert result.exit_code == 2, result.output
+    assert "bad form file" in result.output and message in result.output
+
+
+def test_cli_import_loads_no_scipy():
+    from pathlib import Path
+
+    import geowb
+
+    code = "import sys, geowb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(geowb.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_internal_error_exits_3(monkeypatch):

@@ -344,6 +344,33 @@ def test_family_system_matches_classify_and_solver(make_cases, seeds):
         assert verdicts == [(True, True, True), (False, False, True), (False, True, False)]
 
 
+@pytest.mark.parametrize(
+    "N, C, hits",
+    [(GaussRational(1), GaussRational(1), 4),
+     (GaussRational(Fraction(3, 4)), GaussRational(2), 2),
+     (GaussRational(Fraction(1, 2), Fraction(1, 2)), GaussRational(1, 1), 1),
+     (GaussRational(Fraction(1, 2)), GaussRational(0, 1), 0),
+     (GaussRational(1, 1), GaussRational(1), 0),
+     (GaussRational(1), GaussRational(0), 1)],
+    ids=["a1", "a9/16", "a1/2", "a1/4", "a2", "C0"],
+)
+def test_solution_circle_matches_the_fps_system(N, C, hits):
+    # with A = D = 0 the closedness scalar fixes E = (C - B) / (2 conj(N)),
+    # and the SKT identity then holds iff B lies on the circle of a = |N|^2
+    a = N.abs2()
+    circle = existence.fps_solution_circle(a, C.re, C.im)
+    assert circle.exists == (a > Fraction(1, 2) and C != 0)
+    (cx, cy), on = circle.center, 0
+    for x in range(-6, 7):
+        for y in range(-6, 7):
+            B = GaussRational(x, y)
+            E = (C - B) / (2 * N.conjugate())
+            on_circle = (x - cx) ** 2 + (y - cy) ** 2 == circle.radius2
+            assert fps_skt_2symplectic_system(0, B, C, 0, E, N) == on_circle, (x, y)
+            on += on_circle
+    assert on == hits
+
+
 def test_closure_system_reports_an_inconsistent_ansatz():
     # fps6 with E = 1 is not Kaehler: omega is not closed, and an empty
     # ansatz has nothing to correct it with

@@ -18,11 +18,11 @@ from geowb.positivity import (
     is_decomposable,
     omega_a_form,
     omega_a_matrix,
+    omega_a_transversality,
     omega_a_verdict,
     pairing,
     pairing_matrix,
     quadric_matrix,
-    quadric_transversality,
     recognize_omega_a,
     transversality_sample,
 )
@@ -130,22 +130,16 @@ class TestSampling:
         assert abs(raw.real / w.gram_det() - verdict.value) < 1e-8
 
     def test_cone_property_on_shared_samples(self):
-        # without refinement, per-sample values are additive in psi
+        # pairing_matrix is linear in psi, so every sampled value of a sum
+        # is the sum of the values: T(psi1 + psi2) = T(psi1) + T(psi2)
         omega = fundamental_form(HermitianMetric.identity(4))
         psi1 = form_power(omega, 2)
         psi2 = omega_a_form(G(1))
-        psi_sum = psi1 + psi2
-        _, v1 = transversality_sample(
-            psi1, samples=200, seed=5, refine=False, return_values=True
-        )
-        _, v2 = transversality_sample(
-            psi2, samples=200, seed=5, refine=False, return_values=True
-        )
-        _, vs = transversality_sample(
-            psi_sum, samples=200, seed=5, refine=False, return_values=True
-        )
-        assert np.allclose(vs, v1 + v2, rtol=1e-9, atol=1e-12)
-        assert vs.min() >= v1.min() + v2.min() - 1e-12
+        subsets, t1 = pairing_matrix(psi1)
+        subsets2, t2 = pairing_matrix(psi2)
+        subsets_sum, t_sum = pairing_matrix(psi1 + psi2)
+        assert subsets2 == subsets_sum == subsets
+        assert np.allclose(t_sum, t1 + t2, rtol=1e-12, atol=0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -212,34 +206,41 @@ class TestQuadricMatrix:
 class TestQuadricTransversality:
     def test_analytic_family(self):
         for a in A_VALUES:
-            if a == G(0):
-                continue
-            verdict = quadric_transversality(omega_a_matrix(a))
+            verdict = omega_a_transversality(omega_a_matrix(a))
             assert verdict.positive == omega_a_verdict(a)
+            assert verdict.certificate == "omega-a-family"
 
     def test_identity_goes_numeric(self):
-        verdict = quadric_transversality(omega_a_matrix(G(0)), starts=24, seed=2)
-        assert verdict.kind == NOT_FALSIFIED
-        assert abs(verdict.min_value - 1.0) < 1e-6
+        # the identity is Om_0: certified exactly, and sampling reaches the
+        # family minimum 4 from above
+        assert recognize_omega_a(omega_a_matrix(G(0))) == (G(0), None)
+        verdict = omega_a_transversality(omega_a_matrix(G(0)))
+        assert verdict.kind == CERTIFIED_POSITIVE
+        sample = transversality_sample(omega_a_form(G(0)), samples=48, seed=4)
+        assert sample.kind == NOT_FALSIFIED
+        assert abs(sample.min_value - 4.0) < 1e-6
 
     def test_numeric_matches_boundary_values(self):
-        # the family minimum on the quadric sphere is (2 - |a|)/2
-        for a, expected in [(G(1), 0.5), (G(Fraction(3, 2)), 0.25), (G(Fraction(5, 2)), -0.25)]:
-            verdict = quadric_transversality(
-                omega_a_matrix(a), starts=48, seed=4, analytic=False
-            )
+        # the family minimum of the Gram-normalised pairing is 2 (2 - |a|)
+        for a, expected in [(G(1), 2.0), (G(Fraction(3, 2)), 1.0), (G(Fraction(5, 2)), -1.0)]:
+            verdict = transversality_sample(omega_a_form(a), samples=48, seed=4)
             got = verdict.min_value if verdict.min_value is not None else verdict.value
             assert abs(got - expected) < 1e-6
 
     def test_boundary_a2(self):
-        verdict = quadric_transversality(
-            omega_a_matrix(G(2)), starts=48, seed=4, analytic=False
-        )
+        verdict = transversality_sample(omega_a_form(G(2)), samples=48, seed=4)
         got = verdict.min_value if verdict.min_value is not None else verdict.value
         assert abs(got) <= 1e-6
 
+    def test_an_other_matrix_is_left_to_sampling(self):
+        half_identity = quadric_matrix(
+            form_power(fundamental_form(HermitianMetric.identity(4)), 2)
+        )
+        assert recognize_omega_a(half_identity) is None
+        assert omega_a_transversality(half_identity) is None
+
     def test_falsified_witness_lies_on_quadric(self):
-        verdict = quadric_transversality(omega_a_matrix(G(3)))
+        verdict = omega_a_transversality(omega_a_matrix(G(3)))
         assert verdict.kind == FALSIFIED
         w = verdict.witness
         xi = w.to_form(FLOAT)
@@ -253,7 +254,7 @@ class TestQuadricTransversality:
         rows = [[G(0)] * 6 for _ in range(6)]
         rows[0][1] = G(1)
         with pytest.raises(ValueError):
-            quadric_transversality(QuadricMatrix(tuple(tuple(r) for r in rows)))
+            omega_a_transversality(QuadricMatrix(tuple(tuple(r) for r in rows)))
 
     def test_sampling_agrees_in_sign(self):
         for a in A_VALUES:
