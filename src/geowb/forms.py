@@ -270,9 +270,8 @@ class InvariantForm:
         terms: dict[Monomial, object] = {}
         for mono, coeff in self.terms.items():
             p, q = mono.bidegree()
-            sign = -1 if (p * q) & 1 else 1
-            new = Monomial(mono.anti, mono.holo)
-            terms[new] = scalars.conj(coeff) * sign
+            c = scalars.conj(coeff)
+            terms[Monomial(mono.anti, mono.holo)] = -c if (p * q) & 1 else c
         return InvariantForm(self.n, terms, self.backend)
 
     def project(self, p: int, q: int) -> "InvariantForm":

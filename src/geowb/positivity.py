@@ -6,13 +6,19 @@ A real (p, p)-form psi on a rank-n coframe is *transverse* when
 
 is a strictly positive multiple of the volume form for every nonzero
 simple (n-p, 0)-form beta (a wedge of n-p covectors).  ``pairing``
-evaluates that quantity exactly; ``transversality_sample`` searches for a
-violating beta with random draws plus a per-sample coordinate-descent
-refinement.  Sampling can falsify but never certify -- transversality is
-universally quantified -- so positive outcomes are reported as
-``not-falsified`` with the observed minimum.  Analytic certificates
-(metric powers, top-degree forms, the Om_a family below) are the only
-source of ``certified-positive`` verdicts.
+evaluates that quantity exactly; ``pairing_matrix`` writes it as a
+Hermitian form T on the Pluecker coordinates of beta.
+``transversality_sample`` searches for a violating beta with random draws,
+each refined by one coordinate-descent pass, SAMPLE_CHUNK draws at a time
+as one (chunk, n-p, n) stack with one numpy det/svd/eigh call per step.
+Its seed contract: draw k is the k-th draw of
+``numpy.random.default_rng(seed)`` whatever the chunking, and a falsified
+verdict reports the 1-based index k of the first falsifying draw as
+``samples``, although its whole chunk was refined.  Sampling can falsify
+but never certify -- transversality is universally quantified -- so
+positive outcomes are reported as ``not-falsified`` with the observed
+minimum.  Analytic certificates (metric powers, top-degree forms, the
+Om_a family below) are the only source of ``certified-positive`` verdicts.
 
 For n = 4 a real (2, 2)-form is encoded by a 6 x 6 Hermitian matrix A in
 the basis
@@ -23,7 +29,8 @@ the basis
 chosen so that Om^j ^ Om^k = phi^{1234} exactly when k = 7 - j.  Under
 this encoding transversality is equivalent to positivity of z A z* on the
 Pluecker quadric  Q : z1 z6 + z2 z5 + z3 z4 = 0  (z != 0).
-``omega_a_transversality`` decides it exactly for the one-parameter family
+``omega_a_transversality`` decides it exactly for the positive multiples
+c Om_a (c > 0 real) of the one-parameter family
 
     Om_a = sum_l Om^l ^ conj(Om^l) + a Om^i ^ conj(Om^j)
                                    + conj(a) Om^j ^ conj(Om^i)
@@ -57,6 +64,7 @@ FALSIFIED = "falsified"
 NOT_FALSIFIED = "not-falsified"
 
 FALSIFICATION_TOL = 1e-9  # numeric slack: the boundary of the cone attains 0
+SAMPLE_CHUNK = 64  # draws refined and evaluated together as one stack
 
 
 @dataclass(frozen=True)
@@ -234,60 +242,66 @@ def pairing_matrix(psi: InvariantForm):
     return subsets, t
 
 
-def _plucker(b: np.ndarray, subsets) -> np.ndarray:
-    q = b.shape[0]
-    if q == 0:
-        return np.ones(1, dtype=complex)
-    if q == 1:
-        return b[0].copy()
-    stacked = np.stack([b[:, [i - 1 for i in s]] for s in subsets])
-    return np.linalg.det(stacked)
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2).conj()
 
 
-def _sample_value(b: np.ndarray, t: np.ndarray, subsets) -> float:
-    p = _plucker(b, subsets)
-    gram = float(np.linalg.det(b @ b.conj().T).real)
-    if gram <= 1e-300:
-        return np.inf  # degenerate draw; caller resamples
-    raw = (p @ t @ p.conj()).real
-    return raw / gram
+def _plucker(b: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Pluecker coordinates of a stack (..., q, n) of factor matrices: its
+    q x q minors on the 0-based column subsets ``cols`` (m, q), as (..., m)."""
+    return np.linalg.det(np.swapaxes(b[..., :, cols], -3, -2))
 
 
-def _refine_pass(b: np.ndarray, t: np.ndarray, subsets) -> np.ndarray:
-    """One coordinate-descent pass: minimise the Gram-normalised pairing
-    over each factor in turn, holding the others fixed."""
-    q, n = b.shape
+def _sample_values(b: np.ndarray, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Gram-normalised pairings of a stack (batch, q, n) of draws; inf where
+    the factors are degenerate (the caller skips those draws)."""
+    p = _plucker(b, cols)
+    gram = np.linalg.det(b @ _adjoint(b)).real
+    raw = ((p @ t) * p.conj()).sum(axis=-1).real
+    values = np.full(len(b), np.inf)
+    ok = gram > 1e-300
+    values[ok] = raw[ok] / gram[ok]
+    return values
+
+
+def _refine_pass(b: np.ndarray, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """One coordinate-descent pass over a stack (batch, q, n) of draws:
+    minimise each draw's Gram-normalised pairing over each factor in turn,
+    holding the others fixed.  A draw whose other factors are (nearly)
+    dependent keeps that factor."""
+    batch, q, n = b.shape
+    eye = np.eye(n, dtype=complex)
     for k in range(q):
-        others = np.delete(b, k, axis=0)
         if q == 1:
-            basis = np.eye(n, dtype=complex)
-            gram_others = 1.0
+            keep = np.ones(batch, dtype=bool)
+            gram_others = np.ones(batch)
+            basis = np.broadcast_to(eye, (batch, n, n))
         else:
-            gram_others = float(np.linalg.det(others @ others.conj().T).real)
-            if gram_others <= 1e-12:
-                continue
-            # null space of others.conj(); singular values above
-            # max * eps * max(shape) count towards the rank
+            others = np.delete(b, k, axis=-2)
+            gram_others = np.linalg.det(others @ _adjoint(others)).real
+            # null space of others.conj(), when its rank is q - 1: every
+            # singular value is above max * eps * n
             _, sv, vh = np.linalg.svd(others.conj())
-            rank = int(np.sum(sv > sv.max() * np.finfo(float).eps * n))
-            basis = vh[rank:].conj().T
-            if basis.shape[1] == 0:
-                continue
-        s = np.zeros((len(subsets), n), dtype=complex)
-        for j in range(n):
-            bj = b.copy()
-            bj[k] = 0.0
-            bj[k, j] = 1.0
-            s[:, j] = _plucker(bj, subsets)
-        m = s.T @ t @ s.conj()
+            full_rank = sv[:, -1] > sv[:, 0] * np.finfo(float).eps * n
+            keep = (gram_others > 1e-12) & full_rank
+            basis = _adjoint(vh[:, q - 1:])
+        sel = np.flatnonzero(keep)
+        if not sel.size:
+            continue
+        basis = basis[sel]
+        # row j of s: the Pluecker vector of b with factor k replaced by e_j
+        replaced = np.repeat(b[sel, None], n, axis=1)
+        replaced[:, :, k] = eye
+        s = _plucker(replaced, cols)
+        m = s @ t @ _adjoint(s)
         # value(v) = v @ m @ conj(v) = v^H conj(m) v ; conj(m) is Hermitian
-        reduced = basis.conj().T @ np.conj(m) @ basis / gram_others
-        reduced = 0.5 * (reduced + reduced.conj().T)
-        eigvals, eigvecs = np.linalg.eigh(reduced)
-        v = basis @ eigvecs[:, 0]
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            b[k] = v / norm
+        reduced = _adjoint(basis) @ m.conj() @ basis / gram_others[sel, None, None]
+        reduced = 0.5 * (reduced + _adjoint(reduced))
+        _, eigvecs = np.linalg.eigh(reduced)
+        v = (basis @ eigvecs[..., :1])[..., 0]
+        norm = np.linalg.norm(v, axis=-1)
+        moved = norm > 1e-12
+        b[sel[moved], k] = v[moved] / norm[moved, None]
     return b
 
 
@@ -301,9 +315,16 @@ def transversality_sample(
 
     Draws ``samples`` simple forms with independent complex Gaussian factor
     entries, applies one local refinement pass per draw, and evaluates the
-    Gram-normalised pairing.  Returns ``falsified`` as soon as a value
-    drops to ``tol`` or below, otherwise ``not-falsified`` with the
-    minimum.  Identical seed and configuration reproduce the report
+    Gram-normalised pairing.  Draws are made, refined and evaluated in
+    chunks of SAMPLE_CHUNK, as stacked numpy arrays.  Returns ``falsified``
+    with the first draw whose value drops to ``tol`` or below, otherwise
+    ``not-falsified`` with the minimum.
+
+    Seed contract: draw k (1-based) is the k-th (q, n) pair of real and
+    imaginary parts from ``numpy.random.default_rng(seed)``, the same draw
+    for any chunking, and a falsified verdict reports that k of the first
+    falsifying draw as ``samples``, although its whole chunk was drawn and
+    refined.  Identical seed and configuration reproduce the report
     bit-for-bit.
     """
     if samples <= 0:
@@ -332,26 +353,31 @@ def transversality_sample(
         )
 
     subsets, t = pairing_matrix(psi)
+    cols = np.asarray(subsets) - 1
     rng = np.random.default_rng(seed)
     min_value = np.inf
-    for k in range(samples):
-        b = (rng.standard_normal((q, n)) + 1j * rng.standard_normal((q, n))) / np.sqrt(2)
-        value = _sample_value(b, t, subsets)
-        if np.isfinite(value):
-            b = _refine_pass(b, t, subsets)
-            value = _sample_value(b, t, subsets)
-        if not np.isfinite(value):
-            continue
-        min_value = min(min_value, value)
-        if value <= tol:
+    for start in range(0, samples, SAMPLE_CHUNK):
+        draws = rng.standard_normal((min(SAMPLE_CHUNK, samples - start), 2, q, n))
+        b = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
+        values = _sample_values(b, t, cols)
+        finite = np.isfinite(values)
+        refined = _refine_pass(b[finite], t, cols)
+        b[finite] = refined
+        values[finite] = _sample_values(refined, t, cols)
+        finite = np.isfinite(values)
+        hits = np.flatnonzero(finite & (values <= tol))
+        if hits.size:
+            first = int(hits[0])
             return TransversalityVerdict(
                 kind=FALSIFIED,
-                witness=SimpleForm.make([tuple(row) for row in b], n),
-                value=float(value),
-                samples=k + 1,
+                witness=SimpleForm.make([tuple(row) for row in b[first]], n),
+                value=float(values[first]),
+                samples=start + first + 1,
                 seed=seed,
                 tol=tol,
             )
+        if finite.any():
+            min_value = min(min_value, values[finite].min())
     return TransversalityVerdict(
         kind=NOT_FALSIFIED,
         min_value=float(min_value),
@@ -457,16 +483,19 @@ def omega_a_verdict(a) -> bool:
 
 
 def recognize_omega_a(matrix: QuadricMatrix, tol: float | None = None):
-    """(a, pair) if the matrix is Om_a, else None; the identity is Om_0,
-    with pair None."""
+    """(a, pair) if the matrix is c Om_a for a positive real c (the common
+    diagonal entry), else None; c I is c Om_0, with pair None."""
     entries = matrix.entries
     field = scalars.field(matrix.backend)
+    c = entries[0][0]
+    if not field.is_positive(c, tol):
+        return None
     found = None
     for j in range(6):
         for k in range(6):
             x = entries[j][k]
             if j == k:
-                if not field.close(x, field.one, tol):
+                if not field.close(x, c, tol):
                     return None
                 continue
             if field.is_zero(x, tol):
@@ -484,7 +513,7 @@ def recognize_omega_a(matrix: QuadricMatrix, tol: float | None = None):
     a = entries[i - 1][j - 1]
     if not field.close(entries[j - 1][i - 1], a.conjugate(), tol):
         return None
-    return a, found
+    return a / c, found
 
 
 def _omega_a_boundary_witness(a: complex, pair) -> np.ndarray:
@@ -504,24 +533,29 @@ def _omega_a_boundary_witness(a: complex, pair) -> np.ndarray:
 
 
 def omega_a_transversality(matrix: QuadricMatrix) -> TransversalityVerdict | None:
-    """The exact verdict for a matrix of the Om_a family: certified when
-    |a| < 2, else falsified with a witness on the quadric.  None for any
-    other Hermitian matrix."""
+    """The exact verdict for a positive multiple c Om_a of a matrix of the
+    Om_a family: certified when |a| < 2, else falsified with a witness on
+    the quadric.  None for any other Hermitian matrix."""
     if not matrix.is_hermitian():
         raise ValueError("quadric matrix must be Hermitian")
     hit = recognize_omega_a(matrix)
     if hit is None:
         return None
     a, pair = hit
-    a_text = scalars.field(matrix.backend).format(a)
+    field = scalars.field(matrix.backend)
+    c = matrix.entries[0][0]
+    a_text = field.format(a)
+    if not field.close(c, field.one):
+        a_text += f" (scaled by {field.format(c)})"
     if omega_a_verdict(a):
         return certified("omega-a-family", note=f"|a| < 2 with a = {a_text}")
     ac = complex(a)
     z = _omega_a_boundary_witness(ac, pair)
+    value = 2 * abs(ac) * (2 - abs(ac)) / float((np.conj(z) @ z).real)
     return TransversalityVerdict(
         kind=FALSIFIED,
         witness=_z_to_simple_form(z),
-        value=2 * abs(ac) * (2 - abs(ac)) / float((np.conj(z) @ z).real),
+        value=complex(c).real * value,
         certificate="omega-a-family",
         tol=FALSIFICATION_TOL,
         note=f"|a| >= 2 with a = {a_text}",

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -280,15 +281,32 @@ class TestTransverseQuadricOption:
 
     @pytest.mark.parametrize("flag", [[], ["--quadric"]], ids=["default", "quadric"])
     def test_a_form_outside_the_family_is_sampled(self, tmp_path, flag):
+        from geowb.forms import form_to_json, wedge
+        from geowb.metrics import HermitianMetric, form_power, fundamental_form
+        from geowb.positivity import omega_basis_form
+
+        # omega^2 of the identity metric (I/2) plus 1/4 at the spots (1,2)
+        # and (2,1), which lie off the Om_a pairs
+        om1, om2 = omega_basis_form(1), omega_basis_form(2)
+        cross = wedge(om1, om2.conjugate()) + wedge(om2, om1.conjugate())
+        psi = form_power(fundamental_form(HermitianMetric.identity(4)), 2)
+        psi = psi + cross.scale(Fraction(1, 4))
+        form = write_json(tmp_path / "psi.json", form_to_json(psi))
+        result = run("--json", "--samples", "50", "transverse", "--form", form, *flag)
+        assert result.exit_code == 0, result.output
+        out = json.loads(result.output)
+        assert out["path"] == "sampling" and out["kind"] == "not-falsified"
+
+    def test_a_multiple_of_omega_0_is_decided_exactly(self, tmp_path):
         from geowb.forms import form_to_json
         from geowb.metrics import HermitianMetric, form_power, fundamental_form
 
         omega2 = form_power(fundamental_form(HermitianMetric.identity(4)), 2)
         form = write_json(tmp_path / "omega2.json", form_to_json(omega2))
-        result = run("--json", "--samples", "50", "transverse", "--form", form, *flag)
+        result = run("--json", "transverse", "--form", form)
         assert result.exit_code == 0, result.output
         out = json.loads(result.output)
-        assert out["path"] == "sampling" and out["kind"] == "not-falsified"
+        assert out["path"] == "quadric" and out["certificate"] == "omega-a-family"
 
     def test_structure_option_is_gone(self):
         result = run("transverse", "--omega-a", "1", "--structure", "nakamura-iv-1")

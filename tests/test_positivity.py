@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,21 +8,27 @@ import pytest
 import suites
 from geowb import catalog
 from geowb.forms import InvariantForm, Monomial, sigma, wedge
-from geowb.metrics import HermitianMetric, form_power, fundamental_form
+from geowb.metrics import HermitianMetric, form_power, fundamental_form, metric_power
 from geowb.positivity import (
     CERTIFIED_POSITIVE,
+    FALSIFICATION_TOL,
     FALSIFIED,
     NOT_FALSIFIED,
+    QuadricMatrix,
     SimpleForm,
     TransversalityVerdict,
+    _refine_pass,
+    _sample_values,
     interior_product,
     is_decomposable,
     omega_a_form,
     omega_a_matrix,
     omega_a_transversality,
     omega_a_verdict,
+    omega_basis_form,
     pairing,
     pairing_matrix,
+    pp_degree,
     quadric_matrix,
     recognize_omega_a,
     transversality_sample,
@@ -149,6 +156,107 @@ class TestSampling:
             transversality_sample(non_real, samples=10)
 
 
+def one_draw_at_a_time(psi, samples, seed, tol=FALSIFICATION_TOL):
+    """The sampler as a loop over draws, each refined and evaluated as a
+    stack of one: (kind, samples, value, witness matrix or None)."""
+    n = psi.n
+    q = n - pp_degree(psi)
+    subsets, t = pairing_matrix(psi)
+    cols = np.asarray(subsets) - 1
+    rng = np.random.default_rng(seed)
+    min_value = np.inf
+    for k in range(samples):
+        b = (rng.standard_normal((q, n)) + 1j * rng.standard_normal((q, n))) / np.sqrt(2)
+        b = b[None]
+        value = _sample_values(b, t, cols)[0]
+        if np.isfinite(value):
+            b = _refine_pass(b, t, cols)
+            value = _sample_values(b, t, cols)[0]
+        if not np.isfinite(value):
+            continue
+        min_value = min(min_value, value)
+        if value <= tol:
+            return FALSIFIED, k + 1, value, b[0]
+    return NOT_FALSIFIED, samples, min_value, None
+
+
+def rank5_metric():
+    return HermitianMetric([
+        [2, 1, 0, 0, 0],
+        [1, 3, G(0, 1), 0, 0],
+        [0, G(0, -1), 2, 0, 0],
+        [0, 0, 0, 1, Fraction(1, 2)],
+        [0, 0, 0, Fraction(1, 2), 1],
+    ])
+
+
+def rank4_metric():
+    return HermitianMetric([
+        [2, G(1, 1), 0, 0],
+        [G(1, -1), 3, 0, 0],
+        [0, 0, 1, Fraction(1, 3)],
+        [0, 0, Fraction(1, 3), 2],
+    ])
+
+
+def indefinite_square():
+    """omega^2 of the diagonal metric (1, 1, 1, -1/20) on rank 4."""
+    diag = (1, 1, 1, Fraction(-1, 20))
+    omega = InvariantForm(
+        4, {Monomial.make([j], [j], 4): G(0, Fraction(h, 2)) for j, h in enumerate(diag, 1)}
+    )
+    return form_power(omega, 2)
+
+
+BATCH_FORMS = {
+    "metric-power-n5q2": lambda: metric_power(rank5_metric(), 3),
+    "eta-beta-5": catalog.eta_beta5_three_kahler_form,
+    "indefinite-n4q2": indefinite_square,
+    "metric-power-n4q1": lambda: metric_power(rank4_metric(), 3),
+}
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("samples", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("name", sorted(BATCH_FORMS))
+    def test_matches_the_loop_over_draws(self, name, samples):
+        psi = BATCH_FORMS[name]()
+        verdict = transversality_sample(psi, samples=samples, seed=5)
+        kind, count, value, witness = one_draw_at_a_time(psi, samples, seed=5)
+        assert verdict.kind == kind and verdict.samples == count
+        got = verdict.min_value if kind == NOT_FALSIFIED else verdict.value
+        assert got == pytest.approx(value, rel=1e-12)
+        if witness is not None:
+            assert np.allclose(verdict.witness.to_matrix(), witness, rtol=0, atol=1e-12)
+
+    def test_a_witness_past_the_first_chunk(self):
+        # at tol 4.52 the first falsifying draw lies in the second chunk:
+        # the minimum over the first 64 draws is 4.5275
+        psi = metric_power(rank5_metric(), 3)
+        verdict = transversality_sample(psi, samples=130, seed=5, tol=4.52)
+        kind, count, value, witness = one_draw_at_a_time(psi, 130, seed=5, tol=4.52)
+        assert verdict.kind == kind == FALSIFIED
+        assert verdict.samples == count > 64
+        assert verdict.value == pytest.approx(value, rel=1e-12)
+        assert np.allclose(verdict.witness.to_matrix(), witness, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [("metric-power-n5q2", 4.513733403276565), ("eta-beta-5", 0.49999999999999967)],
+    )
+    def test_pinned_minima(self, name, expected):
+        # recorded with the per-draw sampler that preceded the batched one
+        verdict = transversality_sample(BATCH_FORMS[name](), samples=130, seed=5)
+        assert verdict.kind == NOT_FALSIFIED
+        assert verdict.min_value == pytest.approx(expected, rel=1e-12)
+
+    def test_samples_is_a_python_int(self):
+        verdict = transversality_sample(indefinite_square(), samples=130, seed=5)
+        assert verdict.kind == FALSIFIED
+        assert type(verdict.samples) is int
+        assert json.loads(json.dumps(verdict.to_json()))["samples"] == verdict.samples
+
+
 class TestQuadricMatrix:
     def test_omega_a_pattern(self):
         for pair in ((1, 6), (2, 5), (3, 4)):
@@ -185,8 +293,6 @@ class TestQuadricMatrix:
         half = suites.random_form(rnd, 4, terms=4, p=2, q=2)
         psi = half + half.conjugate()
         mat = quadric_matrix(psi)
-        from geowb.positivity import omega_basis_form
-
         rebuilt = InvariantForm.zero(4)
         for j in range(6):
             for k in range(6):
@@ -233,11 +339,41 @@ class TestQuadricTransversality:
         assert abs(got) <= 1e-6
 
     def test_an_other_matrix_is_left_to_sampling(self):
+        # I/2 plus 1/4 at the spots (1,2) and (2,1), off the Om_a pairs
+        om1, om2 = omega_basis_form(1), omega_basis_form(2)
+        cross = wedge(om1, om2.conjugate()) + wedge(om2, om1.conjugate())
+        psi = form_power(fundamental_form(HermitianMetric.identity(4)), 2)
+        mat = quadric_matrix(psi + cross.scale(Fraction(1, 4)))
+        assert recognize_omega_a(mat) is None
+        assert omega_a_transversality(mat) is None
+
+    def test_a_positive_multiple_is_decided_exactly(self):
         half_identity = quadric_matrix(
             form_power(fundamental_form(HermitianMetric.identity(4)), 2)
         )
-        assert recognize_omega_a(half_identity) is None
-        assert omega_a_transversality(half_identity) is None
+        assert recognize_omega_a(half_identity) == (G(0), None)
+        verdict = omega_a_transversality(half_identity)
+        assert verdict.kind == CERTIFIED_POSITIVE
+        assert verdict.certificate == "omega-a-family"
+
+    def test_a_multiple_scales_the_witness_value(self):
+        c = Fraction(1, 3)
+        scaled = QuadricMatrix(
+            tuple(tuple(x * c for x in row) for row in omega_a_matrix(G(3)).entries)
+        )
+        assert recognize_omega_a(scaled) == (G(3), (2, 5))
+        plain = omega_a_transversality(omega_a_matrix(G(3)))
+        verdict = omega_a_transversality(scaled)
+        assert verdict.kind == FALSIFIED
+        assert verdict.witness == plain.witness
+        assert verdict.value == pytest.approx(plain.value / 3, rel=1e-15)
+
+    def test_other_diagonals_are_left_to_sampling(self):
+        for diagonal in ([G(1)] * 5 + [G(2)], [G(-1)] * 6, [G(0)] * 6, [G(1, 1)] * 6):
+            rows = [[G(0)] * 6 for _ in range(6)]
+            for j, x in enumerate(diagonal):
+                rows[j][j] = x
+            assert recognize_omega_a(QuadricMatrix(tuple(tuple(r) for r in rows))) is None
 
     def test_falsified_witness_lies_on_quadric(self):
         verdict = omega_a_transversality(omega_a_matrix(G(3)))
@@ -249,8 +385,6 @@ class TestQuadricTransversality:
         assert raw.real < 0
 
     def test_rejects_non_hermitian(self):
-        from geowb.positivity import QuadricMatrix
-
         rows = [[G(0)] * 6 for _ in range(6)]
         rows[0][1] = G(1)
         with pytest.raises(ValueError):
