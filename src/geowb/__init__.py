@@ -42,11 +42,9 @@ from .positivity import (
     SimpleForm,
     TransversalityVerdict,
     omega_a_form,
-    omega_a_matrix,
     omega_a_transversality,
     omega_a_verdict,
     pairing,
-    quadric_matrix,
     transversality_sample,
 )
 from .existence import (
@@ -106,13 +104,11 @@ __all__ = [
     "metric_power",
     "normalize_monomial",
     "omega_a_form",
-    "omega_a_matrix",
     "omega_a_transversality",
     "omega_a_verdict",
     "pairing",
     "presentation_from_json",
     "presentation_to_json",
-    "quadric_matrix",
     "sigma",
     "st10_4symplectic_condition",
     "st10_combined_system",

@@ -89,37 +89,29 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
+def _nakamura_row(n: int, dphi, name: str) -> StructurePresentation:
+    """The presentation whose d phi^j lists the (coefficient, holomorphic
+    indices) terms dphi[j - 1]."""
+    forms = [_form(n, *((c, holo, []) for c, holo in terms)) for terms in dphi]
+    return StructurePresentation(n, forms, name=name, backend=EXACT)
+
+
 def nakamura_iv(k: int, alpha=1) -> StructurePresentation:
-    n = 4
     alpha = GaussRational(alpha)
-    z = _zero(n)
+    # row j lists d phi^1 .. d phi^4 as (coefficient, holomorphic indices)
+    # terms, behind a lambda so that only row k is built
     rows = {
-        1: [z, z, z, z],
-        2: [z, z, z, _form(n, (-1, [2, 3], []))],
-        3: [z, z, _form(n, (-1, [1, 2], [])), _form(n, (-2, [1, 3], []))],
-        4: [z, z, _form(n, (1, [2, 3], [])), _form(n, (-1, [2, 4], []))],
-        5: [
-            z,
-            _form(n, (1, [1, 2], [])),
-            InvariantForm(n, {Monomial.make([1, 3], [], n): alpha}, EXACT),
-            InvariantForm(n, {Monomial.make([1, 4], [], n): -(1 + alpha)}, EXACT),
-        ],
-        6: [
-            z,
-            _form(n, (1, [1, 2], [])),
-            _form(n, (-1, [1, 3], [])),
-            _form(n, (-1, [2, 3], [])),
-        ],
-        7: [
-            z,
-            _form(n, (1, [1, 2], [])),
-            _form(n, (-2, [1, 3], [])),
-            _form(n, (1, [1, 4], []), (-1, [1, 2], [])),
-        ],
+        1: lambda: [[], [], [], []],
+        2: lambda: [[], [], [], [(-1, [2, 3])]],
+        3: lambda: [[], [], [(-1, [1, 2])], [(-2, [1, 3])]],
+        4: lambda: [[], [], [(1, [2, 3])], [(-1, [2, 4])]],
+        5: lambda: [[], [(1, [1, 2])], [(alpha, [1, 3])], [(-(1 + alpha), [1, 4])]],
+        6: lambda: [[], [(1, [1, 2])], [(-1, [1, 3])], [(-1, [2, 3])]],
+        7: lambda: [[], [(1, [1, 2])], [(-2, [1, 3])], [(1, [1, 4]), (-1, [1, 2])]],
     }
     if k not in rows:
         raise ValueError("type IV rows are numbered 1..7")
-    return StructurePresentation(n, rows[k], name=f"nakamura-iv-{k}", backend=EXACT)
+    return _nakamura_row(4, rows[k](), f"nakamura-iv-{k}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,70 +120,60 @@ def nakamura_iv(k: int, alpha=1) -> StructurePresentation:
 
 
 def nakamura_v(k: int, alpha=1, beta=1, gamma=1, eta=1) -> StructurePresentation:
-    n = 5
     alpha = GaussRational(alpha)
     beta = GaussRational(beta)
     gamma = GaussRational(gamma)
     eta = GaussRational(eta)
-    z = _zero(n)
-
-    def mono_form(coeff, holo):
-        return InvariantForm(n, {Monomial.make(holo, [], n): coeff}, EXACT)
-
+    # as in nakamura_iv, with d phi^1 .. d phi^5
     rows = {
-        1: [z, z, z, z, z],
-        2: [z, z, z, z, _form(n, (-1, [3, 4], []))],
-        3: [z, z, z, z, _form(n, (-1, [1, 3], []), (-1, [2, 4], []))],
-        4: [z, z, z, _form(n, (-1, [1, 2], [])), _form(n, (-1, [1, 3], []))],
-        5: [z, z, z, _form(n, (-1, [2, 3], [])), _form(n, (-2, [2, 4], []))],
-        6: [z, z, z, _form(n, (-1, [1, 2], [])), _form(n, (-2, [1, 4], []), (-1, [2, 3], []))],
-        7: [z, z, z, _form(n, (1, [3, 4], [])), _form(n, (-1, [3, 5], []))],
-        8: [z, z, _form(n, (-1, [1, 2], [])), _form(n, (-2, [1, 3], [])), _form(n, (-2, [2, 3], []))],
-        9: [z, z, _form(n, (-1, [1, 2], [])), _form(n, (-2, [1, 3], [])), _form(n, (-3, [1, 4], []))],
-        10: [z, z, _form(n, (-1, [1, 2], [])), _form(n, (-2, [1, 3], [])), _form(n, (-3, [1, 4], []), (-1, [2, 3], []))],
-        11: [z, z, _form(n, (-1, [1, 2], [])), _form(n, (1, [1, 4], [])), _form(n, (1, [1, 5], []))],
-        12: [z, z, _form(n, (1, [1, 3], [])), _form(n, (1, [2, 4], [])), _form(n, (-1, [1, 5], []), (-1, [2, 5], []))],
-        13: [
-            z, z,
-            _form(n, (1, [2, 3], [])),
-            mono_form(alpha, [2, 4]),
-            mono_form(-(1 + alpha), [2, 5]),
+        1: lambda: [[], [], [], [], []],
+        2: lambda: [[], [], [], [], [(-1, [3, 4])]],
+        3: lambda: [[], [], [], [], [(-1, [1, 3]), (-1, [2, 4])]],
+        4: lambda: [[], [], [], [(-1, [1, 2])], [(-1, [1, 3])]],
+        5: lambda: [[], [], [], [(-1, [2, 3])], [(-2, [2, 4])]],
+        6: lambda: [[], [], [], [(-1, [1, 2])], [(-2, [1, 4]), (-1, [2, 3])]],
+        7: lambda: [[], [], [], [(1, [3, 4])], [(-1, [3, 5])]],
+        8: lambda: [[], [], [(-1, [1, 2])], [(-2, [1, 3])], [(-2, [2, 3])]],
+        9: lambda: [[], [], [(-1, [1, 2])], [(-2, [1, 3])], [(-3, [1, 4])]],
+        10: lambda: [[], [], [(-1, [1, 2])], [(-2, [1, 3])], [(-3, [1, 4]), (-1, [2, 3])]],
+        11: lambda: [[], [], [(-1, [1, 2])], [(1, [1, 4])], [(1, [1, 5])]],
+        12: lambda: [[], [], [(1, [1, 3])], [(1, [2, 4])], [(-1, [1, 5]), (-1, [2, 5])]],
+        13: lambda: [[], [], [(1, [2, 3])], [(alpha, [2, 4])], [(-(1 + alpha), [2, 5])]],
+        14: lambda: [[], [], [(1, [1, 3])], [(-2, [1, 4])], [(1, [1, 5]), (-1, [1, 3])]],
+        15: lambda: [[], [], [(1, [2, 3])], [(-1, [2, 4])], [(-1, [3, 4])]],
+        16: lambda: [[], [], [(1, [1, 3])], [(-1, [1, 4])], [(-1, [3, 4]), (-1, [1, 2])]],
+        17: lambda: [
+            [],
+            [(1, [1, 2])],
+            [(gamma, [1, 3])],
+            [(beta, [1, 4])],
+            [(-(1 + gamma + beta), [1, 5])],
         ],
-        14: [z, z, _form(n, (1, [1, 3], [])), _form(n, (-2, [1, 4], [])), _form(n, (1, [1, 5], []), (-1, [1, 3], []))],
-        15: [z, z, _form(n, (1, [2, 3], [])), _form(n, (-1, [2, 4], [])), _form(n, (-1, [3, 4], []))],
-        16: [z, z, _form(n, (1, [1, 3], [])), _form(n, (-1, [1, 4], [])), _form(n, (-1, [3, 4], []), (-1, [1, 2], []))],
-        17: [
-            z,
-            _form(n, (1, [1, 2], [])),
-            mono_form(gamma, [1, 3]),
-            mono_form(beta, [1, 4]),
-            mono_form(-(1 + gamma + beta), [1, 5]),
+        18: lambda: [
+            [],
+            [(-3, [1, 2])],
+            [(1, [1, 3])],
+            [(1, [1, 4]), (-1, [1, 3])],
+            [(1, [1, 5]), (-1, [1, 3])],
         ],
-        18: [
-            z,
-            _form(n, (-3, [1, 2], [])),
-            _form(n, (1, [1, 3], [])),
-            _form(n, (1, [1, 4], []), (-1, [1, 3], [])),
-            _form(n, (1, [1, 5], []), (-1, [1, 3], [])),
+        19: lambda: [
+            [],
+            [(1, [1, 2])],
+            [(-1, [1, 3])],
+            [(1, [1, 4]), (-1, [1, 2])],
+            [(-1, [1, 5]), (-1, [1, 3])],
         ],
-        19: [
-            z,
-            _form(n, (1, [1, 2], [])),
-            _form(n, (-1, [1, 3], [])),
-            _form(n, (1, [1, 4], []), (-1, [1, 2], [])),
-            _form(n, (-1, [1, 5], []), (-1, [1, 3], [])),
-        ],
-        20: [
-            z,
-            _form(n, (1, [1, 2], [])),
-            _form(n, (1, [1, 3], []), (-1, [1, 2], [])),
-            mono_form(eta, [1, 4]),
-            mono_form(-(2 + eta), [1, 5]),
+        20: lambda: [
+            [],
+            [(1, [1, 2])],
+            [(1, [1, 3]), (-1, [1, 2])],
+            [(eta, [1, 4])],
+            [(-(2 + eta), [1, 5])],
         ],
     }
     if k not in rows:
         raise ValueError("type V rows are numbered 1..20")
-    return StructurePresentation(n, rows[k], name=f"nakamura-v-{k}", backend=EXACT)
+    return _nakamura_row(5, rows[k](), f"nakamura-v-{k}")
 
 
 # ---------------------------------------------------------------------------

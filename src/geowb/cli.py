@@ -102,6 +102,11 @@ def _load_metric(spec: str, pres) -> metrics.HermitianMetric:
         metric = metrics.HermitianMetric.from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad metric file: {exc}") from exc
+    if (metric.n, metric.backend) != (pres.n, pres.backend):
+        raise InputError(
+            f"metric is rank {metric.n} on the {metric.backend} backend, "
+            f"the structure rank {pres.n} on the {pres.backend} backend"
+        )
     return metric
 
 
@@ -270,12 +275,13 @@ def classify_metric(config, structure, metric_spec, params_path):
 @click.option("--form", "form_path", default=None, type=str,
               help="JSON file with the (p,p)-form to test")
 @click.option("--omega-a", "omega_a", default=None, type=str,
-              help="test the rank-4 quadric family member with this exact "
-                   "a (an integer, p/q, an exact decimal or a Gaussian "
+              help="test the rank-4 family member Om_a with this exact a "
+                   "(an integer, p/q, an exact decimal or a Gaussian "
                    "rational x+yi), e.g. '3/2', '-5/2', '0.25' or '1+1i'")
 @click.option("--quadric/--no-quadric", default=None,
               help="try the exact Om_a rule first, by default for rank-4 "
-                   "(2,2)-forms; a form outside the Om_a family is sampled. "
+                   "(2,2)-forms: a positive multiple of an Om_a is decided "
+                   "from its coefficients, any other form is sampled. "
                    "--quadric on any other form is an input error, "
                    "--no-quadric always samples")
 @click.pass_obj
@@ -283,8 +289,10 @@ def classify_metric(config, structure, metric_spec, params_path):
 def transverse(config, form_path, omega_a, quadric):
     """Transversality of a real (p,p)-form: the exact Om_a rule or sampling."""
     if omega_a is not None:
+        if form_path is not None:
+            raise InputError("give --form FILE or --omega-a VALUE, not both")
         a = _parse_param_value(omega_a, EXACT)
-        verdict = positivity.omega_a_transversality(positivity.omega_a_matrix(a))
+        verdict = positivity.omega_a_transversality(positivity.omega_a_form(a))
         lines = [
             f"quadric family member, a = {scalars.field(EXACT).format(a)}",
             f"verdict: {verdict.kind}"
@@ -297,7 +305,6 @@ def transverse(config, form_path, omega_a, quadric):
         raise InputError("provide --form FILE or --omega-a VALUE")
     try:
         form = form_from_json(_load_json(form_path))
-        positivity.pp_degree(form)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad form file {form_path}: {exc}") from exc
     eligible = form.n == 4 and form.bidegree() == (2, 2)
@@ -305,12 +312,16 @@ def transverse(config, form_path, omega_a, quadric):
         raise InputError("--quadric needs a rank-4 (2,2)-form")
     verdict = None
     if eligible and quadric is not False:
-        verdict = positivity.omega_a_transversality(positivity.quadric_matrix(form))
+        # only a real form is recognised, so this needs no pp_degree check
+        verdict = positivity.omega_a_transversality(form)
         path = "quadric"
     if verdict is None:
-        verdict = positivity.transversality_sample(
-            form, samples=config.samples, seed=config.seed
-        )
+        try:
+            verdict = positivity.transversality_sample(
+                form, samples=config.samples, seed=config.seed
+            )
+        except positivity.PPFormError as exc:
+            raise InputError(f"bad form file {form_path}: {exc}") from exc
         path = "sampling"
     lines = [
         f"path: {path}",
@@ -458,8 +469,7 @@ def obstruct(config, cert_path, structure, library_name, search, p_value, mode, 
         lines = [f"candidates found: {len(found)}"]
         payload = {"found": [c.to_json() for c in found]}
         for c in found:
-            report = existence.verify_obstruction_certificate(pres, c, config.epsilon)
-            lines.append(f"  beta = {c.beta}: {report.conclusion}")
+            lines.append(f"  beta = {c.beta}: {c.conclusion}")
         _emit(config, payload, lines)
         sys.exit(0 if found else 1)
     else:

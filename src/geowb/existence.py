@@ -408,6 +408,12 @@ class ObstructionCertificate:
     beta: InvariantForm
     decomposition: tuple[tuple[object, SimpleForm], ...]
 
+    @property
+    def conclusion(self) -> str:
+        """What the certificate rules out, once verified."""
+        kind = "symplectic" if self.mode == "d" else "pluriclosed"
+        return f"no {self.p}-{kind} structure exists at the invariant level"
+
     def to_json(self) -> dict:
         from .forms import form_to_json
 
@@ -511,14 +517,8 @@ def verify_obstruction_certificate(
 
     if cert.mode == "d":
         lhs = pres.d(cert.beta)
-        conclusion = (
-            f"no {p}-symplectic structure exists at the invariant level"
-        )
     else:
         lhs = pres.del_delbar(cert.beta).project(n - p, n - p)
-        conclusion = (
-            f"no {p}-pluriclosed structure exists at the invariant level"
-        )
 
     if lhs.is_zero(tol):
         return CertificateReport(
@@ -539,7 +539,7 @@ def verify_obstruction_certificate(
         f"decomposition verified with {len(cert.decomposition)} simple block(s), "
         f"uniform sign {'+' if 1 in signs else '-'}"
     )
-    return CertificateReport(True, conclusion, messages)
+    return CertificateReport(True, cert.conclusion, messages)
 
 
 def certificate_search(

@@ -20,24 +20,21 @@ positive outcomes are reported as ``not-falsified`` with the observed
 minimum.  Analytic certificates (metric powers, top-degree forms, the
 Om_a family below) are the only source of ``certified-positive`` verdicts.
 
-For n = 4 a real (2, 2)-form is encoded by a 6 x 6 Hermitian matrix A in
-the basis
+For n = 4 the (2, 0)-forms
 
     Om^1 = phi^{12}, Om^2 = phi^{13}, Om^3 = phi^{14},
-    Om^4 = phi^{23}, Om^5 = -phi^{24}, Om^6 = phi^{34},
+    Om^4 = phi^{23}, Om^5 = -phi^{24}, Om^6 = phi^{34}
 
-chosen so that Om^j ^ Om^k = phi^{1234} exactly when k = 7 - j.  Under
-this encoding transversality is equivalent to positivity of z A z* on the
-Pluecker quadric  Q : z1 z6 + z2 z5 + z3 z4 = 0  (z != 0).
-``omega_a_transversality`` decides it exactly for the positive multiples
-c Om_a (c > 0 real) of the one-parameter family
+satisfy Om^j ^ Om^k = phi^{1234} exactly when k = 7 - j.
+``omega_a_transversality`` decides transversality exactly for the positive
+multiples c Om_a (c > 0 real) of the one-parameter family
 
     Om_a = sum_l Om^l ^ conj(Om^l) + a Om^i ^ conj(Om^j)
                                    + conj(a) Om^j ^ conj(Om^i)
 
-with (i, j) one of (1,6), (2,5), (3,4), which is transverse iff |a| < 2
-(Om_0 is the identity matrix), and returns None for every other matrix;
-those forms are left to sampling.
+with (i, j) one of (1,6), (2,5), (3,4), which is transverse iff |a| < 2.
+It reads c and a off the coefficients of the form (``recognize_omega_a``)
+and returns None for every other form; those forms are left to sampling.
 """
 
 from __future__ import annotations
@@ -183,14 +180,18 @@ def certified(name: str, note: str = "") -> TransversalityVerdict:
 # ---- the exact pairing ---------------------------------------------------
 
 
+class PPFormError(ValueError):
+    """The form given is not a real form of bidegree (p, p)."""
+
+
 def pp_degree(psi: InvariantForm) -> int:
-    """p for a real form psi of bidegree (p, p), ValueError for any other
+    """p for a real form psi of bidegree (p, p), PPFormError for any other
     form; the zero form counts as an (n, n)-form."""
     bideg = psi.bidegree()
     if psi.terms and (bideg is None or bideg[0] != bideg[1]):
-        raise ValueError("psi must be homogeneous of bidegree (p, p)")
+        raise PPFormError("psi must be homogeneous of bidegree (p, p)")
     if not psi.is_real():
-        raise ValueError("psi must be real")
+        raise PPFormError("psi must be real")
     return bideg[0] if bideg else psi.n
 
 
@@ -387,7 +388,7 @@ def transversality_sample(
     )
 
 
-# ---- the quadric criterion for (2,2)-forms on rank 4 ----------------------
+# ---- the Om_a family of (2,2)-forms on rank 4 ------------------------------
 
 # Om^j as (holomorphic index pair, sign); Om^j ^ Om^{7-j} = phi^{1234}
 OMEGA_BASIS: tuple[tuple[tuple[int, int], int], ...] = (
@@ -401,21 +402,8 @@ OMEGA_BASIS: tuple[tuple[tuple[int, int], int], ...] = (
 
 OMEGA_PAIRS = ((1, 6), (2, 5), (3, 4))
 
-
-@dataclass
-class QuadricMatrix:
-    """The 6 x 6 coefficient matrix of a real (2,2)-form on rank 4."""
-
-    entries: tuple[tuple[object, ...], ...]
-    backend: str = EXACT
-
-    def is_hermitian(self, tol: float | None = None) -> bool:
-        close = scalars.field(self.backend).close
-        for j in range(6):
-            for k in range(6):
-                if not close(self.entries[j][k], self.entries[k][j].conjugate(), tol):
-                    return False
-        return True
+# the index bitmask of each Om^j
+_OMEGA_MASKS = tuple(1 << (a - 1) | 1 << (b - 1) for (a, b), _ in OMEGA_BASIS)
 
 
 def omega_basis_form(j: int, n: int = 4, backend: str = EXACT) -> InvariantForm:
@@ -424,46 +412,10 @@ def omega_basis_form(j: int, n: int = 4, backend: str = EXACT) -> InvariantForm:
     return InvariantForm(n, {Monomial.make([a, b], [], n): sign}, backend)
 
 
-def quadric_matrix(psi: InvariantForm) -> QuadricMatrix:
-    """Coefficients of psi in the basis Om^j ^ conj(Om^k).
-
-    Exact when psi is exact; the reconstruction
-    ``sum a_jk Om^j ^ conj(Om^k) = psi`` holds by construction since the
-    36 monomials involved form a basis of the (2,2) space.
-    """
-    if psi.n != 4:
-        raise ValueError("the quadric encoding requires rank 4")
-    if psi.terms and psi.bidegree() != (2, 2):
-        raise ValueError("psi must be a (2,2)-form")
-    rows = []
-    for j in range(6):
-        (ja, jb), jsign = OMEGA_BASIS[j]
-        row = []
-        for k in range(6):
-            (ka, kb), ksign = OMEGA_BASIS[k]
-            mono = Monomial.make([ja, jb], [ka, kb], 4)
-            # Om^j ^ conj(Om^k) = jsign * ksign * phi^{jajb} ^ phibar^{kakb}
-            row.append(psi.coeff(mono) * (jsign * ksign))
-        rows.append(tuple(row))
-    return QuadricMatrix(tuple(rows), psi.backend)
-
-
-def omega_a_matrix(a, pair=(2, 5), backend: str = EXACT) -> QuadricMatrix:
-    if tuple(pair) not in OMEGA_PAIRS:
-        raise ValueError(f"pair must be one of {OMEGA_PAIRS}")
-    field = scalars.field(backend)
-    a = field.coerce(a)
-    i, j = pair
-    rows = [[field.zero] * 6 for _ in range(6)]
-    for l in range(6):
-        rows[l][l] = field.one
-    rows[i - 1][j - 1] = a
-    rows[j - 1][i - 1] = a.conjugate()
-    return QuadricMatrix(tuple(tuple(r) for r in rows), backend)
-
-
 def omega_a_form(a, pair=(2, 5), backend: str = EXACT) -> InvariantForm:
     """Om_a as an invariant (2,2)-form on rank 4."""
+    if tuple(pair) not in OMEGA_PAIRS:
+        raise ValueError(f"pair must be one of {OMEGA_PAIRS}")
     a = scalars.field(backend).coerce(a)
     total = InvariantForm.zero(4, backend)
     for l in range(1, 7):
@@ -482,42 +434,45 @@ def omega_a_verdict(a) -> bool:
     return (a * a.conjugate()).real < 4
 
 
-def recognize_omega_a(matrix: QuadricMatrix, tol: float | None = None):
-    """(a, pair) if the matrix is c Om_a for a positive real c (the common
-    diagonal entry), else None; c I is c Om_0, with pair None."""
-    entries = matrix.entries
-    field = scalars.field(matrix.backend)
-    c = entries[0][0]
-    if not field.is_positive(c, tol):
+def recognize_omega_a(psi: InvariantForm):
+    """(a, pair) if psi is c Om_a for a real c > 0, else None; c Om_0 gives
+    (0, None).
+
+    Om^j ^ conj(Om^k) is phi^{S_j} ^ phibar^{S_k} times the two signs of
+    OMEGA_BASIS, so psi is c Om_a when the six phi^S ^ phibar^S carry one
+    real c > 0, at most one pair of ``OMEGA_PAIRS`` carries x at
+    phi^{S_i} ^ phibar^{S_j} and conj(x) at phi^{S_j} ^ phibar^{S_i}, and
+    nothing else is present.  Then a = x / c, and a = -x / c for the pair
+    (2, 5), whose Om^5 is -phi^{24}.
+    """
+    if psi.n != 4:
         return None
-    found = None
-    for j in range(6):
-        for k in range(6):
-            x = entries[j][k]
-            if j == k:
-                if not field.close(x, c, tol):
-                    return None
-                continue
-            if field.is_zero(x, tol):
-                continue
-            spot = (min(j, k) + 1, max(j, k) + 1)
-            if spot not in OMEGA_PAIRS:
-                return None
-            if found is None:
-                found = spot
-            elif found != spot:
-                return None
-    if found is None:
+    field = scalars.field(psi.backend)
+    rest = dict(psi.terms)
+    diagonal = [rest.pop(Monomial(s, s), field.zero) for s in _OMEGA_MASKS]
+    c = diagonal[0]
+    if not field.is_positive(c) or not all(field.close(x, c) for x in diagonal):
+        return None
+    rest = {mono: x for mono, x in rest.items() if not field.is_zero(x)}
+    if not rest:
         return field.zero, None
-    i, j = found
-    a = entries[i - 1][j - 1]
-    if not field.close(entries[j - 1][i - 1], a.conjugate(), tol):
-        return None
-    return a / c, found
+    for i, j in OMEGA_PAIRS:
+        cross = Monomial(_OMEGA_MASKS[i - 1], _OMEGA_MASKS[j - 1])
+        back = Monomial(_OMEGA_MASKS[j - 1], _OMEGA_MASKS[i - 1])
+        if cross not in rest and back not in rest:
+            continue
+        x, y = rest.pop(cross, field.zero), rest.pop(back, field.zero)
+        if rest or not field.close(y, x.conjugate()):
+            return None
+        sign = OMEGA_BASIS[i - 1][1] * OMEGA_BASIS[j - 1][1]
+        return x * sign / c, (i, j)
+    return None
 
 
 def _omega_a_boundary_witness(a: complex, pair) -> np.ndarray:
-    """A point z on the quadric with z A z* = 2|a|(2 - |a|) for Om_a."""
+    """Om-basis coordinates z of a simple (2,0)-form sum z_l Om^l
+    (z1 z6 + z2 z5 + z3 z4 = 0) at which the Hermitian form of Om_a,
+    sum_l |z_l|^2 + 2 Re(a conj(z_i) z_j), equals 2|a|(2 - |a|)."""
     mag = abs(a)
     z = np.zeros(6, dtype=complex)
     i, j = pair
@@ -532,18 +487,16 @@ def _omega_a_boundary_witness(a: complex, pair) -> np.ndarray:
     return z
 
 
-def omega_a_transversality(matrix: QuadricMatrix) -> TransversalityVerdict | None:
-    """The exact verdict for a positive multiple c Om_a of a matrix of the
-    Om_a family: certified when |a| < 2, else falsified with a witness on
-    the quadric.  None for any other Hermitian matrix."""
-    if not matrix.is_hermitian():
-        raise ValueError("quadric matrix must be Hermitian")
-    hit = recognize_omega_a(matrix)
+def omega_a_transversality(psi: InvariantForm) -> TransversalityVerdict | None:
+    """The exact verdict for a positive multiple c Om_a of the Om_a family:
+    certified when |a| < 2, else falsified with a simple witness.  None for
+    any other form."""
+    hit = recognize_omega_a(psi)
     if hit is None:
         return None
     a, pair = hit
-    field = scalars.field(matrix.backend)
-    c = matrix.entries[0][0]
+    field = scalars.field(psi.backend)
+    c = psi.coeff(Monomial(_OMEGA_MASKS[0], _OMEGA_MASKS[0]))
     a_text = field.format(a)
     if not field.close(c, field.one):
         a_text += f" (scaled by {field.format(c)})"
@@ -563,7 +516,8 @@ def omega_a_transversality(matrix: QuadricMatrix) -> TransversalityVerdict | Non
 
 
 def _z_to_simple_form(z: np.ndarray) -> SimpleForm:
-    """Factor xi = sum z_l Om^l (simple on the quadric) into two covectors."""
+    """Factor xi = sum z_l Om^l (simple when z1 z6 + z2 z5 + z3 z4 = 0)
+    into two covectors."""
     x = np.zeros((4, 4), dtype=complex)
     for l, ((a_idx, b_idx), sign) in enumerate(OMEGA_BASIS):
         x[a_idx - 1, b_idx - 1] += sign * z[l]

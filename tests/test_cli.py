@@ -188,6 +188,38 @@ class TestClassifyMetric:
         assert "absolute tolerance 1e-09" in payload["notes"][0]
 
 
+class TestMetricFileMismatch:
+    @staticmethod
+    def identity(tmp_path, n, backend):
+        one, zero = ({"re": "1", "im": "0"}, {"re": "0", "im": "0"}) if backend == "exact" \
+            else ({"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0})
+        rows = [[one if j == k else zero for k in range(n)] for j in range(n)]
+        return write_json(tmp_path / f"h{n}{backend}.json", {"n": n, "backend": backend, "H": rows})
+
+    @pytest.mark.parametrize("n, backend", [(4, "exact"), (3, "float")])
+    def test_classify_metric(self, tmp_path, n, backend):
+        metric = self.identity(tmp_path, n, backend)
+        result = run("classify-metric", "fps6", "--metric", metric)
+        assert result.exit_code == 2, result.output
+        assert f"metric is rank {n} on the {backend} backend" in result.output
+
+    def test_classify_metric_float_key(self, tmp_path):
+        result = run("classify-metric", "s1-pi2", "--metric", self.identity(tmp_path, 3, "exact"))
+        assert result.exit_code == 2, result.output
+        assert run("classify-metric", "s1-pi2", "--metric",
+                   self.identity(tmp_path, 3, "float")).exit_code == 0
+
+    @pytest.mark.parametrize("n, backend", [(4, "exact"), (3, "float")])
+    def test_psymplectic(self, tmp_path, n, backend):
+        params = iwasawa_params(tmp_path)
+        result = run("psymplectic", "--family", "fps6", "--params", params,
+                     "--metric", self.identity(tmp_path, n, backend))
+        assert result.exit_code == 2, result.output
+        assert "internal error" not in result.output
+        assert run("psymplectic", "--family", "fps6", "--params", params, "--metric",
+                   self.identity(tmp_path, 3, "exact")).exit_code in (0, 1)
+
+
 class TestObstruct:
     def test_library(self):
         result = run("obstruct", "--library", "nakamura-iv-6-p2")
@@ -209,6 +241,30 @@ class TestObstruct:
         result = run("--json", "obstruct", "--search", "--structure", "nakamura-iv-6", "--p", "2")
         assert result.exit_code == 0, result.output
         assert len(json.loads(result.output)["found"]) == 6
+
+    @pytest.mark.parametrize("mode", ["d", "delbar-del"])
+    def test_search_verifies_each_candidate_once(self, monkeypatch, mode):
+        from geowb import catalog, existence
+
+        calls = []
+        original = existence.verify_obstruction_certificate
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(existence, "verify_obstruction_certificate", counting)
+        found = existence.certificate_search(catalog.get("nakamura-iv-6"), 2, mode)
+        in_search = len(calls)
+        result = run("obstruct", "--search", "--structure", "nakamura-iv-6", "--p", "2",
+                     "--mode", mode)
+        assert result.exit_code == (0 if found else 1), result.output
+        assert len(calls) == 2 * in_search
+        kind = "symplectic" if mode == "d" else "pluriclosed"
+        lines = result.output.splitlines()[1:]
+        assert len(lines) == len(found)
+        assert all(line.endswith(f"no 2-{kind} structure exists at the invariant level")
+                   for line in lines)
 
     def test_epsilon_reaches_the_search(self):
         args = ("--json", "obstruct", "--search", "--structure", "s1-pi2", "--p", "2")
@@ -308,6 +364,45 @@ class TestTransverseQuadricOption:
         out = json.loads(result.output)
         assert out["path"] == "quadric" and out["certificate"] == "omega-a-family"
 
+    def test_form_and_omega_a_together_are_an_input_error(self, tmp_path):
+        result = run("transverse", "--omega-a", "1", "--form", self.rank3_omega(tmp_path))
+        assert result.exit_code == 2, result.output
+        assert "not both" in result.output
+
+    def test_a_non_real_eligible_form_is_an_input_error(self, tmp_path):
+        terms = [{"holo": [1, 3], "anti": [2, 4], "re": "1", "im": "0"}]
+        form = write_json(tmp_path / "psi.json", {"n": 4, "terms": terms})
+        result = run("transverse", "--form", form)
+        assert result.exit_code == 2, result.output
+        assert "bad form file" in result.output and "psi must be real" in result.output
+
+    def test_a_sampled_form_is_validated_once(self, tmp_path, monkeypatch):
+        from geowb.forms import InvariantForm
+
+        calls = []
+        original = InvariantForm.is_real
+
+        def counting(self, tol=None):
+            calls.append(self)
+            return original(self, tol)
+
+        monkeypatch.setattr(InvariantForm, "is_real", counting)
+        result = run("--samples", "5", "transverse", "--form", self.rank3_omega(tmp_path))
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
+    def test_a_numeric_failure_in_sampling_is_internal(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        from geowb import cli
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(cli.positivity, "transversality_sample", broken)
+        result = run("transverse", "--form", self.rank3_omega(tmp_path))
+        assert result.exit_code == 3, result.output
+
     def test_structure_option_is_gone(self):
         result = run("transverse", "--omega-a", "1", "--structure", "nakamura-iv-1")
         assert result.exit_code == 2
@@ -332,6 +427,14 @@ def test_bad_transverse_form_is_an_input_error(tmp_path, doc, message):
     result = run("transverse", "--form", write_json(tmp_path / "form.json", doc))
     assert result.exit_code == 2, result.output
     assert "bad form file" in result.output and message in result.output
+
+
+def test_every_public_name_resolves():
+    import geowb
+
+    missing = [name for name in geowb.__all__ if not hasattr(geowb, name)]
+    assert missing == []
+    assert len(set(geowb.__all__)) == len(geowb.__all__)
 
 
 def test_cli_import_loads_no_scipy():

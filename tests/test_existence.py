@@ -476,6 +476,15 @@ class TestCertificateSearch:
         assert all(verify_obstruction_certificate(pres, c).valid for c in found)
         assert any(c.beta == cert.beta for c in found) == library_beta_found
 
+    @pytest.mark.parametrize("mode", ["d", "delbar-del"])
+    def test_conclusion_is_the_verified_one(self, mode):
+        found = [(pres, c) for key in ("nakamura-iv-6", "nakamura-v-5")
+                 for pres in [catalog.get(key)]
+                 for p in range(1, pres.n) for c in certificate_search(pres, p, mode)]
+        assert found
+        for pres, c in found:
+            assert c.conclusion == verify_obstruction_certificate(pres, c).conclusion
+
     @pytest.mark.parametrize("budget", [0, 1, 7])
     def test_examines_at_most_the_budget(self, monkeypatch, budget):
         examined = []

@@ -14,7 +14,7 @@ from geowb.positivity import (
     FALSIFICATION_TOL,
     FALSIFIED,
     NOT_FALSIFIED,
-    QuadricMatrix,
+    PPFormError,
     SimpleForm,
     TransversalityVerdict,
     _refine_pass,
@@ -22,14 +22,12 @@ from geowb.positivity import (
     interior_product,
     is_decomposable,
     omega_a_form,
-    omega_a_matrix,
     omega_a_transversality,
     omega_a_verdict,
     omega_basis_form,
     pairing,
     pairing_matrix,
     pp_degree,
-    quadric_matrix,
     recognize_omega_a,
     transversality_sample,
 )
@@ -257,13 +255,50 @@ class TestBatchedSampler:
         assert json.loads(json.dumps(verdict.to_json()))["samples"] == verdict.samples
 
 
+def diagonal_form(diagonal):
+    """sum_l d_l Om^l ^ conj(Om^l) on rank 4."""
+    total = InvariantForm.zero(4)
+    for l, d in enumerate(diagonal, start=1):
+        om = omega_basis_form(l)
+        total = total + wedge(om, om.conjugate()).scale(d)
+    return total
+
+
 class TestQuadricMatrix:
+    """recognize_omega_a reads c and a off the coefficients of the form."""
+
     def test_omega_a_pattern(self):
+        # x sits at phi^{S_i} ^ phibar^{S_j}, with the sign of Om^5 = -phi^{24}
+        # on the pair (2, 5)
+        a = G(1, 2)
+        for pair, spot, x in [((1, 6), ([1, 2], [3, 4]), a), ((2, 5), ([1, 3], [2, 4]), -a),
+                              ((3, 4), ([1, 4], [2, 3]), a)]:
+            psi = omega_a_form(a, pair)
+            assert len(psi.terms) == 8
+            assert psi.coeff(Monomial.make(*spot, 4)) == x
+            assert psi.coeff(Monomial.make(*spot[::-1], 4)) == x.conjugate()
+            assert recognize_omega_a(psi) == (a, pair)
+
+    def test_pair_outside_the_family_raises(self):
+        with pytest.raises(ValueError, match="pair must be one of"):
+            omega_a_form(G(1), (1, 2))
+
+    def test_every_pair_and_complex_a(self):
         for pair in ((1, 6), (2, 5), (3, 4)):
-            a = G(1, 2)
-            mat = quadric_matrix(omega_a_form(a, pair))
-            expected = omega_a_matrix(a, pair)
-            assert mat.entries == expected.entries
+            for a in A_VALUES + [G(1, 1), G(0, 2), G(Fraction(3, 2), Fraction(-3, 2))]:
+                expected = (a, pair) if a else (G(0), None)
+                assert recognize_omega_a(omega_a_form(a, pair)) == expected
+
+    def test_positive_multiples(self):
+        for c in (Fraction(1, 3), 5):
+            for pair in ((1, 6), (2, 5), (3, 4)):
+                psi = omega_a_form(G(2, -1), pair).scale(c)
+                assert recognize_omega_a(psi) == (G(2, -1), pair)
+
+    def test_float_backend(self):
+        psi = omega_a_form(G(1, 2), (3, 4), FLOAT).scale(0.5)
+        a, pair = recognize_omega_a(psi)
+        assert pair == (3, 4) and abs(a - (1 + 2j)) < 1e-12
 
     def test_f_plus_theta_is_omega_1(self):
         # the diagonal (2,2) block plus the cross terms on slots (2,5)
@@ -278,49 +313,41 @@ class TestQuadricMatrix:
                 Monomial.make([2, 4], [1, 3], 4): -1,
             },
         )
-        mat = quadric_matrix(f + theta)
-        hit = recognize_omega_a(mat)
+        hit = recognize_omega_a(f + theta)
         assert hit is not None
         a, pair = hit
         assert a == G(1) and pair == (2, 5)
 
     def test_zero_form(self):
-        mat = quadric_matrix(InvariantForm.zero(4))
-        assert all(x == G(0) for row in mat.entries for x in row)
+        assert recognize_omega_a(InvariantForm.zero(4)) is None
 
-    def test_reconstruction(self):
-        rnd = random.Random(3)
-        half = suites.random_form(rnd, 4, terms=4, p=2, q=2)
-        psi = half + half.conjugate()
-        mat = quadric_matrix(psi)
-        rebuilt = InvariantForm.zero(4)
-        for j in range(6):
-            for k in range(6):
-                om_j = omega_basis_form(j + 1)
-                om_k = omega_basis_form(k + 1)
-                rebuilt = rebuilt + wedge(om_j, om_k.conjugate()).scale(
-                    mat.entries[j][k]
-                )
-        assert rebuilt.equals(psi)
-        assert mat.is_hermitian()
+    def test_two_pairs_are_not_in_the_family(self):
+        psi = omega_a_form(G(1), (1, 6)) + omega_a_form(G(1), (3, 4)) - diagonal_form([G(1)] * 6)
+        assert recognize_omega_a(psi) is None
+
+    def test_other_bidegrees_are_not_in_the_family(self):
+        extra = InvariantForm(4, {Monomial.make([1], [1], 4): 1})
+        assert recognize_omega_a(omega_a_form(G(1)) + extra) is None
 
     def test_wrong_rank(self):
-        with pytest.raises(ValueError):
-            quadric_matrix(InvariantForm.zero(3))
+        assert recognize_omega_a(InvariantForm.zero(3)) is None
+        psi = form_power(fundamental_form(HermitianMetric.identity(3)), 2)
+        assert omega_a_transversality(psi) is None
 
 
 class TestQuadricTransversality:
     def test_analytic_family(self):
-        for a in A_VALUES:
-            verdict = omega_a_transversality(omega_a_matrix(a))
-            assert verdict.positive == omega_a_verdict(a)
-            assert verdict.certificate == "omega-a-family"
+        for pair in ((1, 6), (2, 5), (3, 4)):
+            for a in A_VALUES:
+                verdict = omega_a_transversality(omega_a_form(a, pair))
+                assert verdict.positive == omega_a_verdict(a)
+                assert verdict.certificate == "omega-a-family"
 
     def test_identity_goes_numeric(self):
-        # the identity is Om_0: certified exactly, and sampling reaches the
-        # family minimum 4 from above
-        assert recognize_omega_a(omega_a_matrix(G(0))) == (G(0), None)
-        verdict = omega_a_transversality(omega_a_matrix(G(0)))
+        # Om_0 is certified exactly, and sampling reaches the family
+        # minimum 4 from above
+        assert recognize_omega_a(omega_a_form(G(0))) == (G(0), None)
+        verdict = omega_a_transversality(omega_a_form(G(0)))
         assert verdict.kind == CERTIFIED_POSITIVE
         sample = transversality_sample(omega_a_form(G(0)), samples=48, seed=4)
         assert sample.kind == NOT_FALSIFIED
@@ -339,44 +366,41 @@ class TestQuadricTransversality:
         assert abs(got) <= 1e-6
 
     def test_an_other_matrix_is_left_to_sampling(self):
-        # I/2 plus 1/4 at the spots (1,2) and (2,1), off the Om_a pairs
+        # omega^2 of the identity metric (Om_0 / 2) plus 1/4 on
+        # Om^1 ^ conj(Om^2) and its conjugate, off the Om_a pairs
         om1, om2 = omega_basis_form(1), omega_basis_form(2)
         cross = wedge(om1, om2.conjugate()) + wedge(om2, om1.conjugate())
         psi = form_power(fundamental_form(HermitianMetric.identity(4)), 2)
-        mat = quadric_matrix(psi + cross.scale(Fraction(1, 4)))
-        assert recognize_omega_a(mat) is None
-        assert omega_a_transversality(mat) is None
+        psi = psi + cross.scale(Fraction(1, 4))
+        assert recognize_omega_a(psi) is None
+        assert omega_a_transversality(psi) is None
 
     def test_a_positive_multiple_is_decided_exactly(self):
-        half_identity = quadric_matrix(
-            form_power(fundamental_form(HermitianMetric.identity(4)), 2)
-        )
+        half_identity = form_power(fundamental_form(HermitianMetric.identity(4)), 2)
         assert recognize_omega_a(half_identity) == (G(0), None)
         verdict = omega_a_transversality(half_identity)
         assert verdict.kind == CERTIFIED_POSITIVE
         assert verdict.certificate == "omega-a-family"
 
     def test_a_multiple_scales_the_witness_value(self):
-        c = Fraction(1, 3)
-        scaled = QuadricMatrix(
-            tuple(tuple(x * c for x in row) for row in omega_a_matrix(G(3)).entries)
-        )
+        scaled = omega_a_form(G(3)).scale(Fraction(1, 3))
         assert recognize_omega_a(scaled) == (G(3), (2, 5))
-        plain = omega_a_transversality(omega_a_matrix(G(3)))
+        plain = omega_a_transversality(omega_a_form(G(3)))
         verdict = omega_a_transversality(scaled)
         assert verdict.kind == FALSIFIED
         assert verdict.witness == plain.witness
         assert verdict.value == pytest.approx(plain.value / 3, rel=1e-15)
+        assert verdict.note == "|a| >= 2 with a = 3 (scaled by 1/3)"
 
     def test_other_diagonals_are_left_to_sampling(self):
-        for diagonal in ([G(1)] * 5 + [G(2)], [G(-1)] * 6, [G(0)] * 6, [G(1, 1)] * 6):
-            rows = [[G(0)] * 6 for _ in range(6)]
-            for j, x in enumerate(diagonal):
-                rows[j][j] = x
-            assert recognize_omega_a(QuadricMatrix(tuple(tuple(r) for r in rows))) is None
+        for diagonal in ([G(1)] * 5 + [G(2)], [G(-1)] * 6, [G(0)] * 6, [G(1, 1)] * 6,
+                         [G(1)] * 5 + [G(0)]):
+            psi = diagonal_form(diagonal)
+            assert recognize_omega_a(psi) is None
+            assert recognize_omega_a(psi + omega_a_form(G(1)) - diagonal_form([G(1)] * 6)) is None
 
     def test_falsified_witness_lies_on_quadric(self):
-        verdict = omega_a_transversality(omega_a_matrix(G(3)))
+        verdict = omega_a_transversality(omega_a_form(G(3)))
         assert verdict.kind == FALSIFIED
         w = verdict.witness
         xi = w.to_form(FLOAT)
@@ -385,10 +409,17 @@ class TestQuadricTransversality:
         assert raw.real < 0
 
     def test_rejects_non_hermitian(self):
-        rows = [[G(0)] * 6 for _ in range(6)]
-        rows[0][1] = G(1)
-        with pytest.raises(ValueError):
-            omega_a_transversality(QuadricMatrix(tuple(tuple(r) for r in rows)))
+        # a cross term without its conjugate: the form is not real, so it is
+        # not in the family, and sampling refuses it
+        for x, y in [(G(1), G(0)), (G(1), G(1, 1)), (G(0, 1), G(0, 1))]:
+            psi = diagonal_form([G(1)] * 6) + InvariantForm(4, {
+                Monomial.make([1, 3], [2, 4], 4): x,
+                Monomial.make([2, 4], [1, 3], 4): y,
+            })
+            assert recognize_omega_a(psi) is None
+            assert omega_a_transversality(psi) is None
+            with pytest.raises(PPFormError, match="real"):
+                transversality_sample(psi, samples=10)
 
     def test_sampling_agrees_in_sign(self):
         for a in A_VALUES:
