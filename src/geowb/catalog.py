@@ -52,7 +52,6 @@ def _zero(n: int) -> InvariantForm:
 class ParamSpec:
     name: str
     default: object
-    doc: str = ""
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,7 @@ def _nakamura_entry(kind: str, k: int, label: str, note: str = "") -> CatalogEnt
         key=f"nakamura-{kind.lower()}-{k}",
         summary=f"type {kind} row {k}, {label}",
         build=lambda **kw: build_row(k, **kw),
-        params=tuple(ParamSpec(x, 1, "row parameter") for x in names),
+        params=tuple(ParamSpec(x, 1) for x in names),
         constraint=constraint,
         constraint_doc=constraint_doc,
         provenance=provenance,
@@ -373,7 +372,7 @@ _V_LABELS = {
 
 
 def _family_params(names) -> tuple[ParamSpec, ...]:
-    return tuple(ParamSpec(n, 0, "structure coefficient") for n in names)
+    return tuple(ParamSpec(n, 0) for n in names)
 
 
 CATALOG: dict[str, CatalogEntry] = {}

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 the check ran and holds, 1 the check ran and fails,
-2 usage or input-parse error, 3 internal error.  Randomised reports embed
+2 usage or input error (a structure the computation cannot serve
+included), 3 internal error.  Randomised reports embed
 seed and sample count; identical seed and configuration reproduce them
 bit-for-bit.  The seed falls back to the GEOWB_SEED environment variable,
 then to a fixed default.
@@ -19,7 +20,7 @@ import click
 from . import catalog as cat
 from . import existence, metrics, positivity, scalars
 from .forms import form_from_json
-from .lie import presentation_from_json, presentation_to_json
+from .lie import PresentationError, presentation_from_json, presentation_to_json
 from .scalars import EXACT, GaussRational
 
 DEFAULT_SEED = 20240
@@ -126,7 +127,7 @@ def _guard(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except InputError as exc:
+        except (InputError, PresentationError) as exc:
             click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
         except click.ClickException:
@@ -278,15 +279,13 @@ def classify_metric(config, structure, metric_spec, params_path):
               help="test the rank-4 family member Om_a with this exact a "
                    "(an integer, p/q, an exact decimal or a Gaussian "
                    "rational x+yi), e.g. '3/2', '-5/2', '0.25' or '1+1i'")
-@click.option("--quadric/--no-quadric", default=None,
-              help="try the exact Om_a rule first, by default for rank-4 "
-                   "(2,2)-forms: a positive multiple of an Om_a is decided "
-                   "from its coefficients, any other form is sampled. "
-                   "--quadric on any other form is an input error, "
-                   "--no-quadric always samples")
+@click.option("--no-quadric", "no_quadric", is_flag=True,
+              help="always sample; by default a rank-4 (2,2)-form that is a "
+                   "positive multiple of an Om_a is decided from its "
+                   "coefficients, and any other form is sampled")
 @click.pass_obj
 @_guard
-def transverse(config, form_path, omega_a, quadric):
+def transverse(config, form_path, omega_a, no_quadric):
     """Transversality of a real (p,p)-form: the exact Om_a rule or sampling."""
     if omega_a is not None:
         if form_path is not None:
@@ -307,11 +306,8 @@ def transverse(config, form_path, omega_a, quadric):
         form = form_from_json(_load_json(form_path))
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad form file {form_path}: {exc}") from exc
-    eligible = form.n == 4 and form.bidegree() == (2, 2)
-    if quadric and not eligible:
-        raise InputError("--quadric needs a rank-4 (2,2)-form")
     verdict = None
-    if eligible and quadric is not False:
+    if form.n == 4 and form.bidegree() == (2, 2) and not no_quadric:
         # only a real form is recognised, so this needs no pp_degree check
         verdict = positivity.omega_a_transversality(form)
         path = "quadric"

@@ -28,7 +28,10 @@ linear algebra is exact (q = 1, 2, n-1, n; q = 2 through the Pluecker
 quadric on a pencil) and verifies user certificates elsewhere.
 
 All cohomological statements here are invariant-level only and the
-reports say so: they concern the finite complex of invariant forms.
+reports say so: they concern the finite complex of invariant forms.  They
+need an integrable presentation with d*d = 0 and refuse any other with
+``lie.PresentationError``; there the del-delbar lemma at (p, q) is decided
+from two ranks of one matrix of d.
 
 Linear algebra: every matrix here is built by ``linalg.operator_matrix``
 and reduced by the presentation's backend object from
@@ -47,7 +50,7 @@ from fractions import Fraction
 from . import catalog as _catalog
 from . import linalg, scalars
 from .forms import InvariantForm, Monomial, bidegree_basis, wedge
-from .lie import StructurePresentation
+from .lie import PresentationError, StructurePresentation
 from .linalg import operator_matrix
 from .metrics import HermitianMetric, metric_power
 from .positivity import SimpleForm, is_decomposable
@@ -55,11 +58,8 @@ from .scalars import GaussRational
 
 
 def _unit_forms(pres: StructurePresentation, basis) -> list[InvariantForm]:
-    return [InvariantForm(pres.n, {m: 1}, pres.backend) for m in basis]
-
-
-def _vector_form(pres: StructurePresentation, basis, vector) -> InvariantForm:
-    return InvariantForm(pres.n, dict(zip(basis, vector)), pres.backend)
+    one = scalars.field(pres.backend).one
+    return [InvariantForm(pres.n, {m: one}, pres.backend) for m in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +628,6 @@ class SimpleSearchVerdict:
     xi: InvariantForm | None = None
     minimal_polynomial: str | None = None
 
-    @property
-    def obstructed(self) -> bool:
-        return self.kind == "obstruction"
-
     def to_json(self) -> dict:
         out = {
             "kind": self.kind,
@@ -867,10 +863,6 @@ def _degree_basis(n, r):
     return out
 
 
-def _identity(f: InvariantForm) -> InvariantForm:
-    return f
-
-
 def _del_delbar_matrix(pres, sources, p, q):
     """[del; delbar] on (p, q)-forms, applied to ``sources``."""
     n, backend = pres.n, pres.backend
@@ -888,38 +880,46 @@ def _ddbar_image_rank(pres, p, q) -> int:
     return linalg.for_backend(pres.backend).rank(matrix)
 
 
+def _require_double_complex(pres: StructurePresentation) -> None:
+    """Refuse a presentation whose d is not del + delbar with d*d = 0."""
+    if not pres.is_integrable():
+        raise PresentationError(
+            "presentation is not integrable: some d phi^i has a (0,2) part"
+        )
+    if not pres.validate().ok:
+        raise PresentationError("presentation fails d*d = 0")
+
+
 def invariant_ddbar_lemma_check(pres: StructurePresentation, p: int, q: int) -> bool:
     """ker del ^ ker delbar ^ im d == im (del delbar) inside Lambda^{p,q}.
 
-    Everything is computed on the finite invariant complex; the containment
-    im(del delbar) inside the triple intersection always holds, so the
-    check compares dimensions, exactly or under the float rank rule.  The
-    d-exact (p, q)-forms are d(k) for the (p+q-1)-forms k whose image has
-    no component outside (p, q); call them W.  The triple intersection is
-    the kernel of [del; delbar] on W, of dimension
-    rank W - rank [del; delbar] W.
+    A d-exact (p, q)-form w has 0 = dw = del w + delbar w, two terms of
+    different bidegrees, so the triple intersection is im d ^ Lambda^{p,q} =
+    D(ker D_out), with D the matrix of d from degree p+q-1 to p+q and D_out
+    its rows outside (p, q).  As ker D lies in ker D_out, its dimension is
+    rank D - rank D_out.  That needs d = del + delbar and d*d = 0, so any
+    other presentation raises ``PresentationError``.  The triple intersection
+    contains im(del delbar), so the dimensions decide, exactly or under the
+    float rank rule.
     """
     n = pres.n
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range for rank {n}")
+    _require_double_complex(pres)
     la = linalg.for_backend(pres.backend)
-    pq_basis = bidegree_basis(n, p, q)
-    source = _degree_basis(n, p + q - 1)
-    target = _degree_basis(n, p + q)
-    d_matrix = operator_matrix(pres.d, _unit_forms(pres, source), target, pres.backend)
-    d_outside = [row for row, m in zip(d_matrix, target) if m.bidegree() != (p, q)]
-    images = [
-        pres.d(_vector_form(pres, source, k)).project(p, q)
-        for k in la.nullspace(d_outside, len(source))
-    ]
-    dim_x = la.rank(operator_matrix(_identity, images, pq_basis, pres.backend))
-    dim_x -= la.rank(_del_delbar_matrix(pres, images, p, q))
+    sources = _unit_forms(pres, _degree_basis(n, p + q - 1))
+    # the rows outside (p, q) first: exact elimination of D then fills in less
+    outside = [m for m in _degree_basis(n, p + q) if m.bidegree() != (p, q)]
+    target = outside + bidegree_basis(n, p, q)
+    d_matrix = operator_matrix(pres.d, sources, target, pres.backend)
+    dim_x = la.rank(d_matrix) - la.rank(d_matrix[: len(outside)])
     return dim_x == _ddbar_image_rank(pres, p, q)
 
 
 def bott_chern_dimensions(pres: StructurePresentation) -> dict[tuple[int, int], int]:
     """dim (ker del ^ ker delbar / im del delbar) per bidegree,
     on the invariant complex."""
+    _require_double_complex(pres)
     n = pres.n
     la = linalg.for_backend(pres.backend)
     out = {}

@@ -270,7 +270,7 @@ class InvariantForm:
         terms: dict[Monomial, object] = {}
         for mono, coeff in self.terms.items():
             p, q = mono.bidegree()
-            c = scalars.conj(coeff)
+            c = coeff.conjugate()
             terms[Monomial(mono.anti, mono.holo)] = -c if (p * q) & 1 else c
         return InvariantForm(self.n, terms, self.backend)
 

@@ -12,8 +12,8 @@ the 2n generators, built once per presentation: ``d phi^i`` and
 (0,2) parts for delbar.  One routine extends a table to monomials by the
 graded Leibniz rule, with one cache of monomial images per operator.
 del and delbar need an *integrable* presentation (no ``d phi^i`` has a
-(0,2) part: the Nijenhuis tensor vanishes), where d = del + delbar; this
-is decided once, when the presentation is built.
+(0,2) part: the Nijenhuis tensor vanishes), where d = del + delbar, and
+raise ``PresentationError`` on any other; this is decided once, at build.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from fractions import Fraction
 from . import scalars
 from .forms import InvariantForm, Monomial, wedge, wedge_monomials
 from .scalars import EXACT
+
+
+class PresentationError(ValueError):
+    """A presentation the computation cannot serve (not integrable, d*d != 0)."""
 
 
 class StructurePresentation:
@@ -139,7 +143,7 @@ class StructurePresentation:
 
     def _dolbeault(self, op: str, f: InvariantForm) -> InvariantForm:
         if not self._integrable:
-            raise ValueError(
+            raise PresentationError(
                 "presentation is not integrable: some d phi^i has a (0,2) part"
             )
         return self._extend(lambda mono: self._leibniz(op, mono), f)

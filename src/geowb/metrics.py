@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from . import linalg, scalars
 from .forms import InvariantForm, Monomial, bidegree_basis, wedge
-from .lie import StructurePresentation
+from .lie import PresentationError, StructurePresentation
 from .scalars import EXACT
 
 
@@ -280,7 +280,7 @@ def classify(
     """Evaluate the special-metric conditions for this metric."""
     report = pres.validate(tol)
     if not report.ok:
-        raise ValueError("presentation failed validation; classify refused")
+        raise PresentationError("presentation failed validation; classify refused")
     if metric.n != pres.n or metric.backend != pres.backend:
         raise ValueError("metric and presentation must share rank and backend")
     n = pres.n
@@ -334,8 +334,9 @@ def _strongly_gauduchon(pres, omega_n1):
     """Solvability of  del omega^(n-1) = delbar Gamma  over Lambda^{n, n-2}."""
     n = pres.n
     target = pres.del_(omega_n1)  # an (n, n-1)-form
+    one = scalars.field(pres.backend).one
     sources = [
-        InvariantForm(n, {m: 1}, pres.backend) for m in bidegree_basis(n, n, n - 2)
+        InvariantForm(n, {m: one}, pres.backend) for m in bidegree_basis(n, n, n - 2)
     ]
     target_basis = bidegree_basis(n, n, n - 1)
     matrix = linalg.operator_matrix(pres.delbar, sources, target_basis, pres.backend)

@@ -367,6 +367,3 @@ def field_of(value):
     ``positivity.SimpleForm``): exact for a GaussRational, float otherwise."""
     return _EXACT_FIELD if isinstance(value, GaussRational) else _FLOAT_FIELD
 
-
-def conj(value):
-    return value.conjugate()

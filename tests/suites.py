@@ -201,6 +201,43 @@ def bott_chern_torus_dimensions():
                 assert table[(p, q)] == math.comb(n, p) * math.comb(n, q)
 
 
+def ddbar_lemma_by_definition(pres: StructurePresentation, p: int, q: int) -> bool:
+    """The invariant del-delbar lemma at (p, q) from its definition.
+
+    The d-exact (p, q)-forms are d(k) for the (p+q-1)-forms k whose image
+    has no component outside (p, q); the triple intersection
+    ker del ^ ker delbar ^ im d is the kernel of [del; delbar] on them, and
+    it is compared with del delbar(Lambda^{p-1,q-1}).
+    """
+    from geowb import linalg
+    from geowb.existence import _degree_basis
+    from geowb.linalg import operator_matrix
+
+    n, backend = pres.n, pres.backend
+    la = linalg.for_backend(backend)
+
+    def unit_forms(basis):
+        return [InvariantForm(n, {m: 1}, backend) for m in basis]
+
+    def matrix(op, sources, p, q):
+        return operator_matrix(op, sources, bidegree_basis(n, p, q), backend)
+
+    source = _degree_basis(n, p + q - 1)
+    target = _degree_basis(n, p + q)
+    d_matrix = operator_matrix(pres.d, unit_forms(source), target, backend)
+    d_outside = [row for row, m in zip(d_matrix, target) if m.bidegree() != (p, q)]
+    images = [
+        pres.d(InvariantForm(n, dict(zip(source, k)), backend)).project(p, q)
+        for k in la.nullspace(d_outside, len(source))
+    ]
+    exact_dim = la.rank(matrix(lambda f: f, images, p, q))
+    closed_rows = matrix(pres.del_, images, p + 1, q)
+    closed_rows += matrix(pres.delbar, images, p, q + 1)
+    triple = exact_dim - la.rank(closed_rows)
+    ddbar_sources = unit_forms(bidegree_basis(n, p - 1, q - 1))
+    return triple == la.rank(matrix(pres.del_delbar, ddbar_sources, p, q))
+
+
 def backends_agree(cases: int = 1000, seed: int = 109):
     rnd = random.Random(seed)
     for _ in range(cases):

@@ -94,7 +94,7 @@ def test_float_refusal_does_not_advise_an_option(tmp_path):
 def test_every_omega_a_help_example_runs():
     help_text = " ".join(run("transverse", "--help").output.split())
     start = help_text.index("--omega-a")
-    examples = re.findall(r"'([^']+)'", help_text[start : help_text.index("--quadric")])
+    examples = re.findall(r"'([^']+)'", help_text[start : help_text.index("--no-quadric")])
     assert examples
     for value in examples:
         result = run("--json", "transverse", f"--omega-a={value}")
@@ -152,6 +152,62 @@ class TestDdbarLemma:
         result = run("ddbar-lemma", "s1-pi2", "--p", "1", "--q", "1")
         assert result.exit_code == 1
         assert "FAILS" in result.output
+
+
+def rank3_document(*dphi):
+    """d phi^i = the sum of the monomials (holo, anti) listed at position i."""
+    return {
+        "n": 3,
+        "dphi": [
+            {"n": 3, "terms": [{"holo": h, "anti": a, "re": "1", "im": "0"} for h, a in monos]}
+            for monos in dphi
+        ],
+    }
+
+
+# structures the calculus cannot serve: d phi^3 = phibar^{12} has a (0,2)
+# part, and d phi = (phi^{23}, phi^{12}, 0) has d d phi^1 = phi^{123}
+UNSERVED = {
+    "not-integrable": (rank3_document([], [], [([], [1, 2])]), "not integrable"),
+    "d-squared-nonzero": (
+        rank3_document([([2, 3], [])], [([1, 2], [])], []),
+        "d*d = 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNSERVED))
+class TestUnservedStructuresAreInputErrors:
+    @staticmethod
+    def refused(result, message=""):
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and message in result.output
+
+    def test_bc_dims(self, tmp_path, kind):
+        doc, message = UNSERVED[kind]
+        result = run("bc-dims", write_json(tmp_path / "s.json", doc))
+        self.refused(result, message)
+
+    @pytest.mark.parametrize("p, q", [(0, 0), (1, 1)])
+    def test_ddbar_lemma(self, tmp_path, kind, p, q):
+        doc, message = UNSERVED[kind]
+        path = write_json(tmp_path / "s.json", doc)
+        result = run("ddbar-lemma", path, "--p", str(p), "--q", str(q))
+        self.refused(result, message)
+
+    def test_classify_metric(self, tmp_path, kind):
+        doc, _ = UNSERVED[kind]
+        result = run("classify-metric", write_json(tmp_path / "s.json", doc))
+        self.refused(result)
+
+    def test_validate_reports_without_refusing(self, tmp_path, kind):
+        doc, _ = UNSERVED[kind]
+        result = run("--json", "validate", write_json(tmp_path / "s.json", doc))
+        report = json.loads(result.output)
+        assert (report["integrable"], report["ok"]) == (
+            kind != "not-integrable", kind != "d-squared-nonzero"
+        )
+        assert result.exit_code == (0 if report["ok"] else 1)
 
 
 @pytest.mark.parametrize("p, q", [(4, 0), (1, -1)])
@@ -311,11 +367,6 @@ class TestTransverseQuadricOption:
         terms = [{"holo": [j], "anti": [j], "re": "0", "im": "1/2"} for j in (1, 2, 3)]
         return write_json(tmp_path / "omega.json", {"n": 3, "terms": terms})
 
-    def test_quadric_on_an_ineligible_form_is_an_input_error(self, tmp_path):
-        result = run("transverse", "--form", self.rank3_omega(tmp_path), "--quadric")
-        assert result.exit_code == 2, result.output
-        assert "--quadric needs a rank-4 (2,2)-form" in result.output
-
     @pytest.mark.parametrize("flag", [[], ["--no-quadric"]], ids=["default", "no-quadric"])
     def test_an_ineligible_form_is_sampled(self, tmp_path, flag):
         form = self.rank3_omega(tmp_path)
@@ -324,18 +375,19 @@ class TestTransverseQuadricOption:
         assert json.loads(result.output)["path"] == "sampling"
 
     @pytest.mark.parametrize(
-        "flag, path", [("--quadric", "quadric"), ("--no-quadric", "sampling")]
+        "flag, path", [([], "quadric"), (["--no-quadric"], "sampling")],
+        ids=["default-quadric", "--no-quadric-sampling"],
     )
     def test_an_eligible_form(self, tmp_path, flag, path):
         from geowb.forms import form_to_json
         from geowb.positivity import omega_a_form
 
         form = write_json(tmp_path / "omega1.json", form_to_json(omega_a_form(1)))
-        result = run("--json", "--samples", "50", "transverse", "--form", form, flag)
+        result = run("--json", "--samples", "50", "transverse", "--form", form, *flag)
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["path"] == path
 
-    @pytest.mark.parametrize("flag", [[], ["--quadric"]], ids=["default", "quadric"])
+    @pytest.mark.parametrize("flag", [[], ["--no-quadric"]], ids=["default", "no-quadric"])
     def test_a_form_outside_the_family_is_sampled(self, tmp_path, flag):
         from geowb.forms import form_to_json, wedge
         from geowb.metrics import HermitianMetric, form_power, fundamental_form

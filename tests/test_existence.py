@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import suites
 from geowb import catalog
 from geowb import existence
 from geowb.existence import (
@@ -29,7 +30,7 @@ from geowb.existence import (
     verify_obstruction_certificate,
 )
 from geowb.forms import InvariantForm, Monomial, bidegree_basis
-from geowb.lie import StructurePresentation
+from geowb.lie import PresentationError, StructurePresentation
 from geowb.metrics import HermitianMetric, classify, form_power, fundamental_form
 from geowb.positivity import is_decomposable
 from geowb.scalars import EXACT, FLOAT, GaussRational
@@ -164,6 +165,69 @@ class TestFloatCatalogueEntry:
             if not invariant_ddbar_lemma_check(pres, p, q)
         ]
         assert failures == [(1, 1), (2, 2)]
+
+
+# ---- the del-delbar lemma against its definition ----------------------------
+
+DDBAR_CASES = {
+    **{key: lambda key=key: catalog.get(key) for key in catalog.keys()},
+    **{
+        f"{key}-seeded": lambda key=key, seed=seed: member(key, random.Random(seed))
+        for key, seed in (("fps6", 41), ("ft8", 42), ("st10", 43))
+    },
+}
+
+
+def ddbar_bidegrees(n: int):
+    """Every bidegree up to rank 4; total degree at most 2 or at least 8 in
+    rank 5, where the definition takes seconds per presentation in between."""
+    return [
+        (p, q)
+        for p in range(n + 1)
+        for q in range(n + 1)
+        if n <= 4 or p + q <= 2 or p + q >= 8
+    ]
+
+
+@pytest.mark.parametrize("key", sorted(DDBAR_CASES))
+def test_ddbar_lemma_matches_the_definition(key):
+    pres = DDBAR_CASES[key]()
+    copies = [pres]
+    if pres.backend == EXACT and pres.n <= 4:
+        copies.append(float_copy(pres))
+    for copy in copies:
+        for p, q in ddbar_bidegrees(copy.n):
+            want = suites.ddbar_lemma_by_definition(copy, p, q)
+            assert invariant_ddbar_lemma_check(copy, p, q) == want, (copy.backend, p, q)
+
+
+def rank3_presentation(*dphi) -> StructurePresentation:
+    """d phi^i = the sum of the monomials (holo, anti) listed at position i."""
+    return StructurePresentation(3, [
+        InvariantForm(3, {Monomial.make(holo, anti, 3): 1 for holo, anti in monos})
+        for monos in dphi
+    ])
+
+
+REFUSED = {
+    # d phi^3 = phibar^{12} has a (0,2) part
+    "not-integrable": lambda: rank3_presentation([], [], [([], [1, 2])]),
+    # d phi = (phi^{23}, phi^{12}, 0): d d phi^1 = phi^{123}
+    "d-squared-nonzero": lambda: rank3_presentation([([2, 3], [])], [([1, 2], [])], []),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSED))
+def test_cohomology_refuses_what_the_calculus_cannot_serve(kind):
+    pres = REFUSED[kind]()
+    for p in range(4):
+        for q in range(4):
+            with pytest.raises(PresentationError):
+                invariant_ddbar_lemma_check(pres, p, q)
+    with pytest.raises(PresentationError):
+        bott_chern_dimensions(pres)
+    with pytest.raises(PresentationError):
+        classify(pres, HermitianMetric.identity(3))
 
 
 # ---- closed-form family conditions against the closure solver -------------

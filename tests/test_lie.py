@@ -7,6 +7,7 @@ import suites
 from geowb import catalog
 from geowb.forms import InvariantForm, Monomial, wedge
 from geowb.lie import (
+    PresentationError,
     StructurePresentation,
     complexify_real_presentation,
     is_J_nilpotent,
@@ -101,7 +102,7 @@ class TestDolbeault:
         pres = StructurePresentation(2, [bad, InvariantForm.zero(2)])
         assert not pres.is_integrable()
         for op in (pres.del_, pres.delbar, pres.del_delbar):
-            with pytest.raises(ValueError, match="not integrable"):
+            with pytest.raises(PresentationError, match="not integrable"):
                 op(gen(2, 1))
         assert pres.d(gen(2, 1)).equals(bad)
 
