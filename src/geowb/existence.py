@@ -31,7 +31,7 @@ All cohomological statements here are invariant-level only and the
 reports say so: they concern the finite complex of invariant forms.  They
 need an integrable presentation with d*d = 0 and refuse any other with
 ``lie.PresentationError``; there the del-delbar lemma at (p, q) is decided
-from two ranks of one matrix of d.
+from two ranks that one elimination of a matrix of d gives.
 
 Linear algebra: every matrix here is built by ``linalg.operator_matrix``
 and reduced by the presentation's backend object from
@@ -908,12 +908,13 @@ def invariant_ddbar_lemma_check(pres: StructurePresentation, p: int, q: int) -> 
     _require_double_complex(pres)
     la = linalg.for_backend(pres.backend)
     sources = _unit_forms(pres, _degree_basis(n, p + q - 1))
-    # the rows outside (p, q) first: exact elimination of D then fills in less
+    # the rows outside (p, q) first: one elimination of D passes rank D_out,
+    # and fills in less than with the (p, q) rows first
     outside = [m for m in _degree_basis(n, p + q) if m.bidegree() != (p, q)]
     target = outside + bidegree_basis(n, p, q)
     d_matrix = operator_matrix(pres.d, sources, target, pres.backend)
-    dim_x = la.rank(d_matrix) - la.rank(d_matrix[: len(outside)])
-    return dim_x == _ddbar_image_rank(pres, p, q)
+    rank_out, rank_d = la.leading_ranks(d_matrix, len(outside))
+    return rank_d - rank_out == _ddbar_image_rank(pres, p, q)
 
 
 def bott_chern_dimensions(pres: StructurePresentation) -> dict[tuple[int, int], int]:

@@ -2,7 +2,8 @@
 
 Matrices are lists of row lists of backend scalars (or their real parts),
 and ``for_backend(backend)`` returns the object that owns
-``pivot_columns``, ``rank``, ``solve`` and ``nullspace`` over them:
+``pivot_columns``, ``rank``, ``leading_ranks``, ``solve`` and ``nullspace``
+over them:
 
 * exact -- Gauss-Jordan elimination over Q[i] (or plain Fractions)
   through the module-level ``rref``; results are exact.
@@ -52,7 +53,7 @@ def _subtract(row: dict, factor, tail: dict) -> None:
 
 
 def rref(matrix):
-    """Reduced row echelon form of a dense matrix; returns (rows, pivots).
+    """Reduced row echelon form of a dense matrix; returns (rows, pivots, sources).
 
     ``matrix`` is a list of equal-length rows of exact entries.  ``pivots``
     lists the pivot columns in increasing order, and ``rows[r]`` is the
@@ -63,10 +64,13 @@ def rref(matrix):
     so far, and what is left, if anything, pivots at its first column,
     which is then cleared from the earlier pivot rows.  A pivot row is
     zero left of its pivot throughout, so the result is the (unique)
-    reduced row echelon form.
+    reduced row echelon form.  ``sources[r]`` is the index of the input
+    row that made pivot ``pivots[r]``, so the first k input rows have rank
+    ``sum(s < k for s in sources)``.
     """
     tails: dict[int, dict] = {}  # pivot column -> its row without the pivot 1
-    for dense in matrix:
+    made_by: dict[int, int] = {}  # pivot column -> index of the row that made it
+    for i, dense in enumerate(matrix):
         # skip the shared zeros by identity before any value test
         row = {c: x for c, x in enumerate(dense) if x is not _ZERO and x is not _ZERO_RE and x}
         for p in [c for c in row if c in tails]:
@@ -80,12 +84,13 @@ def rref(matrix):
             if pivot in tail:
                 _subtract(tail, tail.pop(pivot), row)
         tails[pivot] = row
+        made_by[pivot] = i
     pivots = sorted(tails)
-    return [{p: 1, **tails[p]} for p in pivots], pivots
+    return [{p: 1, **tails[p]} for p in pivots], pivots, [made_by[p] for p in pivots]
 
 
 class ExactLinalg:
-    """Exact pivots, rank, solve and nullspace by ``rref``.
+    """Exact pivots, ranks, solve and nullspace by ``rref``.
 
     Entries may be GaussRationals or Fractions; vectors that come back hold
     the same kind of entries, with plain 0 where ``rref`` stores no entry
@@ -99,9 +104,14 @@ class ExactLinalg:
     def rank(self, matrix) -> int:
         return len(rref(matrix)[1])
 
+    def leading_ranks(self, matrix, k: int) -> tuple[int, int]:
+        """(rank of the first k rows, rank of all rows), by one elimination."""
+        sources = rref(matrix)[2]
+        return sum(s < k for s in sources), len(sources)
+
     def solve(self, matrix, rhs, ncols: int):
         """One solution of A x = b (A m x ncols), or None if inconsistent."""
-        rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+        rows, pivots, _ = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
         if ncols in pivots:
             return None  # pivot in the rhs column
         solution = [0] * ncols
@@ -111,7 +121,7 @@ class ExactLinalg:
 
     def nullspace(self, matrix, ncols: int):
         """Basis of the kernel of A (A m x ncols), as length-ncols vectors."""
-        rows, pivots = rref(matrix)
+        rows, pivots, _ = rref(matrix)
         basis = []
         for fc in sorted(set(range(ncols)) - set(pivots)):
             vec = [0] * ncols
@@ -146,6 +156,10 @@ class FloatLinalg:
         if a.size == 0:
             return 0
         return self._rank_of(np.linalg.svd(a, compute_uv=False))
+
+    def leading_ranks(self, matrix, k: int) -> tuple[int, int]:
+        """(rank of the first k rows, rank of all rows), each by the rank rule."""
+        return self.rank(matrix[:k]), self.rank(matrix)
 
     def solve(self, matrix, rhs, ncols: int):
         """One (least-squares) solution of A x = b, or None if inconsistent."""

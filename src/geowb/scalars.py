@@ -6,9 +6,10 @@ signature).  ``field(backend)`` returns the backend's field object, and
 every exact-or-float decision in the package is made by that object:
 
 * ``ExactField`` -- Gaussian rationals ``GaussRational``, numbers
-  ``a + b*i`` with ``a, b`` arbitrary-precision ``Fraction``s.  Arithmetic
-  is closed and lossless, so zero, equality and positivity are decided
-  exactly and every ``tol`` argument is ignored.
+  ``(a + b*i)/d`` stored as a triple of arbitrary-precision ints in lowest
+  terms (d > 0, gcd(a, b, d) = 1).  Arithmetic is closed and lossless, so
+  zero, equality and positivity are decided exactly and every ``tol``
+  argument is ignored.
 * ``FloatField`` -- Python ``complex`` (pairs of 64-bit floats).  Zero,
   closeness and positivity are decided within an absolute tolerance,
   ``DEFAULT_EPS`` unless one is given.
@@ -53,55 +54,83 @@ _FLOAT_REJECTED = (
 
 
 class GaussRational:
-    """An element of Q[i], stored as a pair of Fractions.
+    """An element of Q[i], stored as one normalised triple of ints.
 
-    Each part may be an ``int``, a ``Fraction`` (any ``numbers.Rational``)
-    or an exact decimal or ``"p/q"`` string such as ``"-1/2"``; a single
-    ``GaussRational`` argument is copied.  ``float`` and ``complex`` parts,
-    numpy float and complex scalars among them, raise ``TypeError``: their
-    binary expansion would enter the exact calculus unnoticed.
+    The value (a + b*i)/d is held as ``(a, b, d)`` with d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal triples; zero is (0, 0, 1).
+    Each of ``+ - * /`` forms the result's triple by integer products and
+    brings it to that normal form with at most one three-argument gcd (none
+    when d = 1); negation and conjugation only flip signs.  ``re`` and
+    ``im`` (alias ``real`` and ``imag``) give the parts as ``Fraction``s, a
+    zero part as the one shared ``Fraction(0)``.
+
+    Each constructor part may be an ``int``, a ``Fraction`` (any
+    ``numbers.Rational``) or an exact decimal or ``"p/q"`` string such as
+    ``"-1/2"``; a single ``GaussRational`` argument is copied.  ``float``
+    and ``complex`` parts, numpy float and complex scalars among them, raise
+    ``TypeError``: their binary expansion would enter the exact calculus
+    unnoticed.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, GaussRational):
             if im != 0:
                 raise ValueError("cannot combine a GaussRational with an extra imaginary part")
-            self.re = re.re
-            self.im = re.im
+            self._a, self._b, self._d = re._a, re._b, re._d
             return
         # Concrete types, not an ABC: cheap, and numpy float scalars subclass float.
         if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
             raise TypeError(_FLOAT_REJECTED)
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        # over lcm(q, s) the triple of p/q + (r/s) i is already in normal form
+        q, s = re.denominator, im.denominator
+        if q == s:
+            self._a, self._b, self._d = re.numerator, im.numerator, q
+            return
+        d = q * s // math.gcd(q, s)
+        self._a, self._b, self._d = re.numerator * (d // q), im.numerator * (d // s), d
 
     @classmethod
     def i(cls):
         return cls(0, 1)
 
     @property
-    def real(self) -> Fraction:
-        return self.re
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d) if self._a else _FRACTION_ZERO
 
     @property
-    def imag(self) -> Fraction:
-        return self.im
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d) if self._b else _FRACTION_ZERO
+
+    real = re
+    imag = im
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _from_fractions(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GaussRational):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _normal(self._a + other._a, self._b + other._b, d)
+        return _normal(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _from_fractions(self.re - other.re, self.im - other.im)
+        if not isinstance(other, GaussRational):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _normal(self._a - other._a, self._b - other._b, d)
+        return _normal(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -110,27 +139,26 @@ class GaussRational:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _from_fractions(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, GaussRational):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _normal(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if not isinstance(other, GaussRational):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return _from_fractions(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _normal(f * (a * c + b * e), f * (b * c - a * e), self._d * norm)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -139,62 +167,85 @@ class GaussRational:
         return other / self
 
     def __neg__(self):
-        return _from_fractions(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if not isinstance(other, GaussRational):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         # a real value equals its rational real part, so it must hash like it
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        return hash((self.re, self.im)) if self._b else hash(self.re)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a) or bool(self._b)
 
     def conjugate(self):
-        return _from_fractions(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
 
-def _from_fractions(re: Fraction, im: Fraction) -> GaussRational:
-    """Wrap two Fractions, skipping ``__init__``'s checks and conversions.
+_FRACTION_ZERO = Fraction(0)  # the shared zero part; ``linalg`` skips it by identity
+_new = object.__new__
+_gcd = math.gcd
 
-    For the results of Q[i] arithmetic, whose parts are Fractions already.
-    """
-    z = object.__new__(GaussRational)
-    z.re = re
-    z.im = im
+
+def _triple(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d from a triple already in normal form, skipping ``__init__``."""
+    z = _new(GaussRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _normal(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d for d > 0, divided by gcd(a, b, d) unless d = 1."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussRational)
+    z._a = a
+    z._b = b
+    z._d = d
     return z
 
 
 def _coerce(value):
-    if isinstance(value, GaussRational):
-        return value
-    if isinstance(value, Rational):  # int, Fraction
-        return GaussRational(value)
+    if type(value) is int:
+        return _triple(value, 0, 1)
+    if isinstance(value, Rational):
+        if not isinstance(value, Fraction):
+            value = Fraction(value)  # bool, numpy ints: lowest terms as ints
+        return _triple(value.numerator, 0, value.denominator)
     return NotImplemented
 
 

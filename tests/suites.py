@@ -27,6 +27,91 @@ def random_scalar(rnd: random.Random) -> GaussRational:
     return GaussRational(frac(), frac())
 
 
+class FractionPairGaussRational:
+    """Reference Q[i] scalar: a pair of Fractions, one Fraction op per part.
+
+    The arithmetic ``scalars.GaussRational`` had before it moved to a
+    normalised integer triple; the scalar tests check the triple against it.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, FractionPairGaussRational):
+            return value
+        return FractionPairGaussRational(value)  # an int or a Fraction
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FractionPairGaussRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return FractionPairGaussRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return FractionPairGaussRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionPairGaussRational(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __neg__(self):
+        return FractionPairGaussRational(-self.re, -self.im)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def conjugate(self):
+        return FractionPairGaussRational(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def to_json(self) -> dict:
+        return {"re": str(self.re), "im": str(self.im)}
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+
 def random_monomial(rnd: random.Random, n: int, p=None, q=None) -> Monomial:
     if p is None:
         p = rnd.randint(0, n)

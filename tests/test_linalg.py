@@ -47,6 +47,9 @@ def test_backends_agree_on_random_matrices(seed):
     af = to_float(a)
     assert FLOAT_LA.rank(af) == EXACT_LA.rank(a)
     assert FLOAT_LA.pivot_columns(af) == EXACT_LA.pivot_columns(a)
+    for lead in range(m + 1):
+        want = (EXACT_LA.rank(a[:lead]), EXACT_LA.rank(a))
+        assert EXACT_LA.leading_ranks(a, lead) == FLOAT_LA.leading_ranks(af, lead) == want
     kernel = EXACT_LA.nullspace(a, k)
     assert len(FLOAT_LA.nullspace(af, k)) == len(kernel) == k - EXACT_LA.rank(a)
     for v in kernel:
@@ -163,8 +166,10 @@ def test_sparse_rref_matches_dense_gauss_jordan(name):
     nonzero = sum(1 for row in a for x in row if x)
     assert nonzero <= 0.1 * len(a) * k
     want_rows, want_pivots = dense_rref(a)
-    rows, pivots = linalg.rref(a)
+    rows, pivots, sources = linalg.rref(a)
     assert pivots == want_pivots
+    for lead in (1, len(a) // 4, len(a) // 2):
+        assert sum(s < lead for s in sources) == len(dense_rref(a[:lead])[1])
     if rank is not None:
         assert len(pivots) == rank
     assert len(rows) == len(pivots)
@@ -203,10 +208,10 @@ def test_sparse_nullspace_and_solve(name):
 
 
 def test_rref_of_empty_and_zero_matrices():
-    assert linalg.rref([]) == ([], [])
-    assert linalg.rref([[], [], []]) == ([], [])
+    assert linalg.rref([]) == ([], [], [])
+    assert linalg.rref([[], [], []]) == ([], [], [])
     zeros = [[ZERO, ZERO.re, *COMPUTED_ZEROS, 0] for _ in range(5)]
-    assert linalg.rref(zeros) == ([], [])
+    assert linalg.rref(zeros) == ([], [], [])
     assert EXACT_LA.rank(zeros) == 0
     assert EXACT_LA.nullspace(zeros, 6) == [[int(i == j) for j in range(6)] for i in range(6)]
     assert EXACT_LA.solve(zeros, [ZERO] * 5, 6) == [0] * 6
@@ -214,8 +219,8 @@ def test_rref_of_empty_and_zero_matrices():
 
 
 def test_rref_keeps_integer_input_exact():
-    rows, pivots = linalg.rref([[2, 1], [4, 2]])
-    assert (rows, pivots) == ([{0: 1, 1: Fraction(1, 2)}], [0])
+    rows, pivots, sources = linalg.rref([[2, 1], [4, 2]])
+    assert (rows, pivots, sources) == ([{0: 1, 1: Fraction(1, 2)}], [0], [0])
     assert isinstance(rows[0][1], Fraction)
 
 

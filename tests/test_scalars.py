@@ -1,4 +1,6 @@
 import ast
+import math
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +9,7 @@ import pytest
 
 import geowb
 import suites
-from geowb.scalars import DEFAULT_EPS, EXACT, FLOAT, GaussRational, field
+from geowb.scalars import DEFAULT_EPS, EXACT, FLOAT, ZERO, GaussRational, field
 
 EXACT_FIELD = field(EXACT)
 FLOAT_FIELD = field(FLOAT)
@@ -22,6 +24,7 @@ class TestHash:
     def test_real_values_hash_like_their_rational(self):
         assert len({1, GaussRational(1)}) == 1
         assert hash(GaussRational(Fraction(-1, 2))) == hash(Fraction(-1, 2))
+        assert hash(GaussRational(Fraction(1, 3))) == hash(Fraction(1, 3))
         assert {Fraction(3, 4): "x"}[GaussRational(Fraction(3, 4))] == "x"
 
     def test_equal_values_hash_alike(self):
@@ -29,6 +32,115 @@ class TestHash:
         for _ in range(200):
             x = suites.random_scalar(rnd)
             assert hash(GaussRational(x.re, x.im)) == hash(x)
+
+
+REFERENCE = suites.FractionPairGaussRational
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _operand(rnd: random.Random):
+    """One operand as (value, reference value): a zero, an int, a Fraction,
+    or a Gaussian rational with small, integer or large-denominator parts."""
+    kind = rnd.randrange(6)
+    if kind == 0:
+        value = rnd.choice([0, Fraction(0)])
+        return (value, value) if rnd.random() < 0.5 else (GaussRational(), REFERENCE())
+    if kind == 1:
+        value = rnd.randint(-20, 20)
+        return value, value
+    if kind == 2:
+        value = Fraction(rnd.randint(-30, 30), rnd.randint(1, 30))
+        return value, value
+    if kind == 3:
+        parts = [Fraction(rnd.randint(-6, 6), rnd.randint(1, 6)) for _ in range(2)]
+    elif kind == 4:
+        parts = [rnd.randint(-5, 5), rnd.choice([0, rnd.randint(-5, 5)])]
+    else:
+        parts = [Fraction(rnd.randint(-10**12, 10**12), rnd.randint(1, 10**15))
+                 for _ in range(2)]
+    return GaussRational(*parts), REFERENCE(*parts)
+
+
+def _assert_normal(x: GaussRational) -> None:
+    assert x._d > 0 and math.gcd(x._a, x._b, x._d) == 1
+
+
+def _assert_same_value(got, want) -> None:
+    assert isinstance(got, GaussRational)
+    _assert_normal(got)
+    re, im = got.re, got.imag
+    assert (re, im) == (want.re, want.im)
+    assert type(re) is Fraction and type(im) is Fraction
+
+
+def _assert_matches(got, want) -> None:
+    """The same value, and the same abs2, truth, hash and text."""
+    _assert_same_value(got, want)
+    assert got.abs2() == want.abs2()
+    assert bool(got) == bool(want)
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert EXACT_FIELD.to_json(got) == want.to_json()
+
+
+class TestTripleArithmetic:
+    """The integer triple against the Fraction-pair reference class."""
+
+    def test_operations_match_the_fraction_pair_reference(self):
+        rnd = random.Random(13)
+        for k in range(2000):
+            (x, x_ref), (y, y_ref) = _operand(rnd), _operand(rnd)
+            if not isinstance(x, GaussRational) and not isinstance(y, GaussRational):
+                x, x_ref = GaussRational(x), REFERENCE(x)
+            if isinstance(x, GaussRational):
+                _assert_matches(-x, -x_ref)
+                _assert_same_value(x.conjugate(), x_ref.conjugate())
+            assert (x == y) == (x_ref == y_ref) == (y == x)
+            for i, op in enumerate(OPERATORS):
+                if op is operator.truediv and not y:
+                    with pytest.raises(ZeroDivisionError):
+                        op(x, y)
+                    continue
+                # every value is checked; its text, hash and abs2 on one op in four
+                check = _assert_matches if i == k % 4 else _assert_same_value
+                check(op(x, y), op(x_ref, y_ref))
+
+    def test_equal_values_have_equal_triples(self):
+        x = GaussRational(Fraction(3, 4), Fraction(-5, 6))
+        y = GaussRational(Fraction(2, 7), 3)
+        half = GaussRational(Fraction(1, 2), Fraction(1, 2))
+        quarter = GaussRational(Fraction(1, 4), Fraction(1, 4))
+        thirds = GaussRational(Fraction(1, 3), Fraction(2, 3))
+        for a, b in [
+            (GaussRational(Fraction(2, 4), Fraction(3, 6)), half),
+            (GaussRational(1, 1) / 2, half),
+            (quarter + quarter, half),
+            (x * y / y, x),
+            (x + y - y, x),
+            (thirds + thirds.conjugate() * GaussRational(0, 1), GaussRational(1, 1)),
+            (x - x, ZERO),
+            (x * 0, ZERO),
+        ]:
+            _assert_normal(a)
+            assert (a._a, a._b, a._d) == (b._a, b._b, b._d)
+        assert (ZERO._a, ZERO._b, ZERO._d) == (0, 0, 1)
+
+    def test_zero_parts_are_the_shared_zero(self):
+        x = GaussRational(Fraction(3, 4), Fraction(-5, 6))
+        assert ZERO.re is ZERO.im
+        for z in (x - x, GaussRational(7), x * 0, x + x.conjugate()):
+            assert z.imag is ZERO.im
+        assert GaussRational(0, 5).re is ZERO.re
+
+    def test_division_by_zero(self):
+        for zero in (0, Fraction(0), GaussRational(0), GaussRational(1) - 1):
+            with pytest.raises(ZeroDivisionError):
+                GaussRational(1, 2) / zero
+        for one in (1, Fraction(1), GaussRational(1)):
+            with pytest.raises(ZeroDivisionError):
+                one / ZERO
+        with pytest.raises(ZeroDivisionError):
+            GaussRational("1/0")
 
 
 class TestParse:
