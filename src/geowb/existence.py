@@ -33,11 +33,11 @@ need an integrable presentation with d*d = 0 and refuse any other with
 ``lie.PresentationError``; there the del-delbar lemma at (p, q) is decided
 from two ranks that one elimination of a matrix of d gives.
 
-Linear algebra: every matrix here is built by ``linalg.operator_matrix``
-and reduced by the presentation's backend object from
-``linalg.for_backend`` -- exact elimination over Q[i] on the exact
-backend, numpy under one rank rule on the float backend -- so each routine
-has a single code path for both backends.
+Linear algebra: every matrix here is read off the presentation's cached
+monomial images by ``StructurePresentation.matrix`` and reduced by the
+presentation's backend object from ``linalg.for_backend`` -- exact
+elimination over Q[i] on the exact backend, numpy under one rank rule on
+the float backend -- so each routine has a single code path for both.
 """
 
 from __future__ import annotations
@@ -51,15 +51,9 @@ from . import catalog as _catalog
 from . import linalg, scalars
 from .forms import InvariantForm, Monomial, bidegree_basis, wedge
 from .lie import PresentationError, StructurePresentation
-from .linalg import operator_matrix
 from .metrics import HermitianMetric, metric_power
 from .positivity import SimpleForm, is_decomposable
 from .scalars import GaussRational
-
-
-def _unit_forms(pres: StructurePresentation, basis) -> list[InvariantForm]:
-    one = scalars.field(pres.backend).one
-    return [InvariantForm(pres.n, {m: one}, pres.backend) for m in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +151,17 @@ def closure_system(
     la = linalg.for_backend(backend)
     i_unit = field.i_power(1)
     # lambda = sum_i (x_i + i y_i) mu_i: x_i multiplies mu_i + conj(mu_i),
-    # y_i multiplies i (mu_i - conj(mu_i)); both are real forms
-    columns = []
-    for mu in _unit_forms(pres, basis):
-        mu_bar = mu.conjugate()
-        columns += [mu + mu_bar, (mu - mu_bar).scale(i_unit)]
+    # y_i multiplies i (mu_i - conj(mu_i)); both are real forms.  conj(mu_i)
+    # is the swapped monomial, negated when mu_i has bidegree (a, b), ab odd.
     targets = _degree_basis(n, 2 * p + 1)
-    matrix = operator_matrix(pres.d, columns, targets, backend)
+    swapped = tuple(Monomial(m.anti, m.holo) for m in basis)
+    matrix = []
+    for row in pres.matrix("d", basis + swapped, targets):
+        out = []
+        for m, a, b in zip(basis, row, row[len(basis):]):
+            b = -b if (m.holo.bit_count() * m.anti.bit_count()) & 1 else b
+            out += [a + b, (a - b) * i_unit] if a or b else [a, a]
+        matrix.append(out)
     d_fixed = pres.d(fixed)
     rhs = [-d_fixed.coeff(m) for m in targets]
     rows = [[x.real for x in row] for row in matrix] + [
@@ -666,14 +664,14 @@ def exact_simple_holomorphic_search(
                 "has a component outside (2,0)"
             )
 
-    sources = _unit_forms(pres, bidegree_basis(n, q - 1, 0))
+    sources = bidegree_basis(n, q - 1, 0)
     targets = bidegree_basis(n, q, 0)
     la = linalg.for_backend(pres.backend)
-    d_matrix = operator_matrix(pres.d, sources, targets, pres.backend)
+    d_matrix = pres.matrix("d", sources, targets)
     # the first images that span V, in source order
     pivots = la.pivot_columns(d_matrix)
     dim_v = len(pivots)
-    v_forms = [pres.d(sources[c]) for c in pivots]
+    v_forms = [pres.d_monomial(sources[c]) for c in pivots]
 
     if xi is not None:
         return _verify_simple_certificate(pres, q, xi, d_matrix, targets, dim_v)
@@ -857,25 +855,14 @@ def _poly_mod(a, b):
 
 
 def _degree_basis(n, r):
-    out = []
-    for p in range(max(0, r - n), min(n, r) + 1):
-        out.extend(bidegree_basis(n, p, r - p))
-    return out
-
-
-def _del_delbar_matrix(pres, sources, p, q):
-    """[del; delbar] on (p, q)-forms, applied to ``sources``."""
-    n, backend = pres.n, pres.backend
-    del_rows = operator_matrix(pres.del_, sources, bidegree_basis(n, p + 1, q), backend)
-    delbar_rows = operator_matrix(pres.delbar, sources, bidegree_basis(n, p, q + 1), backend)
-    return del_rows + delbar_rows
+    return [m for p in range(max(0, r - n), min(n, r) + 1) for m in bidegree_basis(n, p, r - p)]
 
 
 def _ddbar_image_rank(pres, p, q) -> int:
     """dim del delbar(Lambda^{p-1,q-1}) inside Lambda^{p,q}."""
-    sources = _unit_forms(pres, bidegree_basis(pres.n, p - 1, q - 1))
-    matrix = operator_matrix(
-        pres.del_delbar, sources, bidegree_basis(pres.n, p, q), pres.backend
+    n = pres.n
+    matrix = pres.matrix(
+        "del_delbar", bidegree_basis(n, p - 1, q - 1), bidegree_basis(n, p, q)
     )
     return linalg.for_backend(pres.backend).rank(matrix)
 
@@ -907,12 +894,11 @@ def invariant_ddbar_lemma_check(pres: StructurePresentation, p: int, q: int) -> 
         raise ValueError(f"bidegree ({p},{q}) out of range for rank {n}")
     _require_double_complex(pres)
     la = linalg.for_backend(pres.backend)
-    sources = _unit_forms(pres, _degree_basis(n, p + q - 1))
     # the rows outside (p, q) first: one elimination of D passes rank D_out,
     # and fills in less than with the (p, q) rows first
     outside = [m for m in _degree_basis(n, p + q) if m.bidegree() != (p, q)]
-    target = outside + bidegree_basis(n, p, q)
-    d_matrix = operator_matrix(pres.d, sources, target, pres.backend)
+    target = outside + list(bidegree_basis(n, p, q))
+    d_matrix = pres.matrix("d", _degree_basis(n, p + q - 1), target)
     rank_out, rank_d = la.leading_ranks(d_matrix, len(outside))
     return rank_d - rank_out == _ddbar_image_rank(pres, p, q)
 
@@ -926,7 +912,10 @@ def bott_chern_dimensions(pres: StructurePresentation) -> dict[tuple[int, int], 
     out = {}
     for p in range(n + 1):
         for q in range(n + 1):
-            sources = _unit_forms(pres, bidegree_basis(n, p, q))
-            ker = len(sources) - la.rank(_del_delbar_matrix(pres, sources, p, q))
+            # ker del ^ ker delbar: the kernel of [del; delbar] on (p, q)-forms
+            sources = bidegree_basis(n, p, q)
+            closed = pres.matrix("del", sources, bidegree_basis(n, p + 1, q))
+            closed += pres.matrix("delbar", sources, bidegree_basis(n, p, q + 1))
+            ker = len(sources) - la.rank(closed)
             out[(p, q)] = ker - _ddbar_image_rank(pres, p, q)
     return out

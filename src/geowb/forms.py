@@ -17,9 +17,10 @@ positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import itertools
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import scalars
 from .scalars import EXACT, FLOAT, GaussRational
@@ -59,9 +60,8 @@ def _merge_inversions(a: int, b: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """phi^I ^ phibar^J with I, J ascending index bitmasks."""
+class Monomial(NamedTuple):
+    """phi^I ^ phibar^J with I, J ascending index bitmasks; hash (holo, anti)."""
 
     holo: int
     anti: int
@@ -315,15 +315,6 @@ def wedge(f: InvariantForm, g: InvariantForm) -> InvariantForm:
     return InvariantForm(f.n, terms, f.backend)
 
 
-def wedge_all(*factors: InvariantForm) -> InvariantForm:
-    if not factors:
-        raise ValueError("wedge_all needs at least one factor")
-    out = factors[0]
-    for f in factors[1:]:
-        out = wedge(out, f)
-    return out
-
-
 def sigma(p: int, backend: str = EXACT):
     """The normalisation constant i**(p*p) / 2**p, evaluated literally."""
     if p < 0:
@@ -354,17 +345,16 @@ def volume_ratio(f: InvariantForm):
     return f.coeff(top) / sigma(f.n, f.backend)
 
 
-def bidegree_basis(n: int, p: int, q: int) -> list[Monomial]:
-    """All monomials of bidegree (p, q), in lexicographic order."""
-    import itertools
-
+@functools.cache
+def bidegree_basis(n: int, p: int, q: int) -> tuple[Monomial, ...]:
+    """All monomials of bidegree (p, q), in lexicographic order (memoised)."""
     if not (0 <= p <= n and 0 <= q <= n):
-        return []
-    out = []
-    for holo in itertools.combinations(range(1, n + 1), p):
-        for anti in itertools.combinations(range(1, n + 1), q):
-            out.append(Monomial.make(holo, anti, n))
-    return out
+        return ()
+    return tuple(
+        Monomial.make(holo, anti, n)
+        for holo in itertools.combinations(range(1, n + 1), p)
+        for anti in itertools.combinations(range(1, n + 1), q)
+    )
 
 
 # ---- serialization ----------------------------------------------------

@@ -10,10 +10,15 @@ d, del and delbar are odd derivations given by tables of their values on
 the 2n generators, built once per presentation: ``d phi^i`` and
 ``d phibar^i`` for d, their (2,0) and (1,1) parts for del, their (1,1) and
 (0,2) parts for delbar.  One routine extends a table to monomials by the
-graded Leibniz rule, with one cache of monomial images per operator.
-del and delbar need an *integrable* presentation (no ``d phi^i`` has a
-(0,2) part: the Nijenhuis tensor vanishes), where d = del + delbar, and
-raise ``PresentationError`` on any other; this is decided once, at build.
+graded Leibniz rule; each presentation caches every monomial image it
+makes as a ``{Monomial: coefficient}`` dict, per operator, plus del delbar
+of a monomial built from the del and delbar images.  ``d``, ``del_``,
+``delbar`` and ``del_delbar`` sum those images over a form's terms, and
+``matrix`` reads them into the matrix of an operator, the package's one
+builder of operator matrices.  del and delbar need an *integrable*
+presentation (no ``d phi^i`` has a (0,2) part: the Nijenhuis tensor
+vanishes), where d = del + delbar, and raise ``PresentationError`` on any
+other before any image is looked up; this is decided once, at build.
 """
 
 from __future__ import annotations
@@ -74,7 +79,8 @@ class StructurePresentation:
                 [f.project(1, 1) for f in dphi], [f.project(0, 2) for f in dphibar]
             ),
         }
-        self._caches = {op: {} for op in self._tables}
+        # op(mono) as a {Monomial: nonzero coefficient} dict, per operator
+        self._images = {op: {} for op in (*self._tables, "del_delbar")}
 
     def __repr__(self):
         label = self.name or f"rank-{self.n}"
@@ -82,14 +88,22 @@ class StructurePresentation:
 
     # ---- the three derivations ------------------------------------------
 
-    def _leibniz(self, op: str, mono: Monomial) -> InvariantForm:
+    def _image(self, op: str, mono: Monomial) -> dict:
+        """The cached image of a monomial; del delbar from del and delbar."""
+        cache = self._images[op]
+        image = cache.get(mono)
+        if image is None:
+            if op == "del_delbar":
+                terms = self._combine("del", self._image("delbar", mono).items())
+            else:
+                terms = self._leibniz(op, mono)
+            image = cache[mono] = {m: c for m, c in terms.items() if c}
+        return image
+
+    def _leibniz(self, op: str, mono: Monomial) -> dict:
         """op(mono) = sum_t (-1)^t op(theta_t) ^ (mono without theta_t) over
         the generators theta_t of mono in canonical order (op(theta_t) is a
         2-form, so it moves to the front without a sign)."""
-        cache = self._caches[op]
-        image = cache.get(mono)
-        if image is not None:
-            return image
         holo_table, anti_table = self._tables[op]
         steps = [
             (holo_table[i], Monomial(mono.holo ^ (1 << (i - 1)), mono.anti))
@@ -106,50 +120,71 @@ class StructurePresentation:
                     continue
                 x = -c if (sign < 0) ^ (t & 1) else c
                 terms[product] = terms[product] + x if product in terms else x
-        image = cache[mono] = InvariantForm(self.n, terms, self.backend)
-        return image
+        return terms
 
-    def _extend(self, monomial_image, f: InvariantForm) -> InvariantForm:
-        """Sum the cached monomial images of the terms of f."""
+    def _combine(self, op: str, terms) -> dict:
+        """sum coeff * op(mono) over (mono, coeff) pairs; cancelled terms stay."""
+        out: dict[Monomial, object] = {}
+        for mono, coeff in terms:
+            for m, c in self._image(op, mono).items():
+                x = c * coeff
+                out[m] = out[m] + x if m in out else x
+        return out
+
+    def _check(self, op: str) -> None:
+        if op not in self._images:
+            raise ValueError(f"unknown operator {op!r}")
+        if op != "d" and not self._integrable:
+            raise PresentationError(
+                "presentation is not integrable: some d phi^i has a (0,2) part"
+            )
+
+    def _apply(self, op: str, f: InvariantForm) -> InvariantForm:
+        self._check(op)
         if f.n != self.n:
             raise ValueError(f"rank mismatch: form has {f.n}, presentation has {self.n}")
         if f.backend != self.backend:
             raise ValueError(
                 f"backend mismatch: form {f.backend}, presentation {self.backend}"
             )
-        terms: dict[Monomial, object] = {}
-        for mono, coeff in f.terms.items():
-            for m, c in monomial_image(mono).terms.items():
-                x = c * coeff
-                terms[m] = terms[m] + x if m in terms else x
-        return InvariantForm(self.n, terms, self.backend)
+        return InvariantForm(self.n, self._combine(op, f.terms.items()), self.backend)
 
     def d_monomial(self, mono: Monomial) -> InvariantForm:
-        return self._leibniz("d", mono)
+        return InvariantForm(self.n, self._image("d", mono), self.backend)
 
     def d(self, f: InvariantForm) -> InvariantForm:
-        return self._extend(self.d_monomial, f)
+        return self._apply("d", f)
 
     def is_integrable(self) -> bool:
         return self._integrable
 
     def del_(self, f: InvariantForm) -> InvariantForm:
         """The (p+1, q) part of d on each (p, q) component."""
-        return self._dolbeault("del", f)
+        return self._apply("del", f)
 
     def delbar(self, f: InvariantForm) -> InvariantForm:
         """The (p, q+1) part of d on each (p, q) component."""
-        return self._dolbeault("delbar", f)
-
-    def _dolbeault(self, op: str, f: InvariantForm) -> InvariantForm:
-        if not self._integrable:
-            raise PresentationError(
-                "presentation is not integrable: some d phi^i has a (0,2) part"
-            )
-        return self._extend(lambda mono: self._leibniz(op, mono), f)
+        return self._apply("delbar", f)
 
     def del_delbar(self, f: InvariantForm) -> InvariantForm:
         return self.del_(self.delbar(f))
+
+    def matrix(self, op: str, sources, targets) -> list[list]:
+        """The matrix of ``op`` ("d", "del", "delbar" or "del_delbar") from
+        the span of the monomials ``sources`` to that of ``targets``.
+
+        Column j holds the coefficients of op(sources[j]) over ``targets``,
+        read off the cached monomial images; ``targets`` must hold every
+        monomial of those images (``KeyError`` otherwise).
+        """
+        self._check(op)
+        zero = scalars.field(self.backend).zero
+        row_of = {m: r for r, m in enumerate(targets)}
+        out = [[zero] * len(sources) for _ in targets]
+        for j, mono in enumerate(sources):
+            for m, c in self._image(op, mono).items():
+                out[row_of[m]][j] = c
+        return out
 
     # ---- validation -------------------------------------------------------
 
@@ -169,7 +204,7 @@ class StructurePresentation:
                 "generators with index >= i"
             )
         if exhaustive and ok:
-            for mono in _all_monomials(self.n):
+            for mono in map(Monomial._make, itertools.product(range(1 << self.n), repeat=2)):
                 r = self.d(self.d_monomial(mono))
                 if not r.is_zero(tol):
                     ok = False
@@ -183,12 +218,6 @@ class StructurePresentation:
             warnings=warnings,
             exhaustive=exhaustive,
         )
-
-
-def _all_monomials(n: int):
-    for holo in range(1 << n):
-        for anti in range(1 << n):
-            yield Monomial(holo, anti)
 
 
 @dataclass

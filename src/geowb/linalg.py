@@ -12,12 +12,12 @@ over them:
   ``solve`` calls a system consistent when appending the right-hand side
   leaves that rank unchanged.
 
-Operator matrices on invariant forms have at most a few hundred rows and
+Operator matrices on invariant forms (built by
+``lie.StructurePresentation.matrix``) have at most a few hundred rows and
 columns but are about 99% zeros: d, del and delbar send a monomial to a
 handful of monomials.  ``rref`` therefore takes a dense matrix but
 eliminates on sparse rows, so exact arithmetic is spent only on stored
-nonzero entries.  ``operator_matrix`` builds the matrix of a linear
-operator on forms for either object.
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -191,17 +191,3 @@ def for_backend(backend: str):
     except KeyError:
         raise ValueError(f"unknown backend {backend!r}") from None
 
-
-def operator_matrix(op, source_forms, target_basis, backend: str):
-    """Matrix of a linear operator on forms.
-
-    Column j holds the coefficients of ``op(source_forms[j])`` over the
-    monomials ``target_basis``; every image must lie in their span.
-    """
-    zero = scalars.field(backend).zero
-    index = {m: r for r, m in enumerate(target_basis)}
-    matrix = [[zero] * len(source_forms) for _ in target_basis]
-    for c, form in enumerate(source_forms):
-        for m, coeff in op(form).terms.items():
-            matrix[index[m]][c] = coeff
-    return matrix

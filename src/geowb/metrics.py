@@ -201,9 +201,8 @@ def _minor_table(h, field) -> list[dict[tuple[int, int], object]]:
                         det = det - entry * minor if odd else det + entry * minor
                 odd = not odd
                 bits ^= bit
-            # a principal minor of a Hermitian matrix is real; on the float
-            # field this drops the rounding residue of its imaginary part
-            level[rows, cols] = field.from_parts(det.real, 0) if rows == cols else det
+            # a principal minor of a Hermitian matrix is real
+            level[rows, cols] = field.as_real(det) if rows == cols else det
         table.append(level)
     return table
 
@@ -334,12 +333,9 @@ def _strongly_gauduchon(pres, omega_n1):
     """Solvability of  del omega^(n-1) = delbar Gamma  over Lambda^{n, n-2}."""
     n = pres.n
     target = pres.del_(omega_n1)  # an (n, n-1)-form
-    one = scalars.field(pres.backend).one
-    sources = [
-        InvariantForm(n, {m: one}, pres.backend) for m in bidegree_basis(n, n, n - 2)
-    ]
+    sources = bidegree_basis(n, n, n - 2)
     target_basis = bidegree_basis(n, n, n - 1)
-    matrix = linalg.operator_matrix(pres.delbar, sources, target_basis, pres.backend)
+    matrix = pres.matrix("delbar", sources, target_basis)
     rhs = [target.coeff(m) for m in target_basis]
     if linalg.for_backend(pres.backend).solve(matrix, rhs, len(sources)) is None:
         return False, "del omega^(n-1) is not delbar-exact over the invariant basis"

@@ -18,7 +18,9 @@ What a field decides:
 
 * ``coerce`` -- the field's scalar for a value (floats and complex numbers
   are refused on the exact field); ``zero``, ``one``, ``i_power(k)`` and
-  ``from_parts(re, im)`` build scalars;
+  ``from_parts(re, im)`` build scalars; ``as_real(x)`` is a scalar known to
+  be real with the rounding residue of its imaginary part dropped (x itself
+  on the exact field);
 * ``from_json``/``to_json`` -- the ``{"re": .., "im": ..}`` form of a
   scalar; ``format`` prints one, and ``parse`` reads every string
   ``format`` prints (``3/2``, ``2i``, ``1/2-3/4i``; a bare ``i`` is 1i);
@@ -290,6 +292,10 @@ class ExactField:
     def from_parts(self, re, im) -> GaussRational:
         return GaussRational(re, im)
 
+    def as_real(self, x) -> GaussRational:
+        """x unchanged: a value that is real in Q[i] has no residue to drop."""
+        return x
+
     def from_json(self, obj) -> GaussRational:
         """Each part an ``int`` or an exact decimal or ``"p/q"`` string.
 
@@ -361,6 +367,10 @@ class FloatField:
 
     def from_parts(self, re, im) -> complex:
         return complex(re, im)
+
+    def as_real(self, x) -> complex:
+        """x with the rounding residue of its imaginary part dropped."""
+        return complex(x.real, 0)
 
     def from_json(self, obj) -> complex:
         """Each part anything that ``float()`` takes."""

@@ -27,6 +27,25 @@ def random_scalar(rnd: random.Random) -> GaussRational:
     return GaussRational(frac(), frac())
 
 
+def member(key: str, rnd: random.Random) -> StructurePresentation:
+    """A catalogue family with a nonzero random value for every parameter."""
+
+    def nonzero():
+        x = random_scalar(rnd)
+        while not x:
+            x = random_scalar(rnd)
+        return x
+
+    entry = catalog.entry(key)
+    return entry.instantiate(**{p.name: nonzero() for p in entry.params})
+
+
+def float_copy(pres: StructurePresentation) -> StructurePresentation:
+    return StructurePresentation(
+        pres.n, [f.to_float() for f in pres.dphi], name=pres.name, backend=FLOAT
+    )
+
+
 class FractionPairGaussRational:
     """Reference Q[i] scalar: a pair of Fractions, one Fraction op per part.
 
@@ -286,17 +305,29 @@ def bott_chern_torus_dimensions():
                 assert table[(p, q)] == math.comb(n, p) * math.comb(n, q)
 
 
+def dense_matrix(images, targets):
+    """Column j holds the coefficients of the form ``images[j]`` over the
+    monomials ``targets``: a reference builder that shares no code with
+    ``StructurePresentation.matrix``."""
+    row_of = {m: r for r, m in enumerate(targets)}
+    out = [[0] * len(images) for _ in targets]
+    for j, f in enumerate(images):
+        for m, c in f.terms.items():
+            out[row_of[m]][j] = c
+    return out
+
+
 def ddbar_lemma_by_definition(pres: StructurePresentation, p: int, q: int) -> bool:
     """The invariant del-delbar lemma at (p, q) from its definition.
 
     The d-exact (p, q)-forms are d(k) for the (p+q-1)-forms k whose image
     has no component outside (p, q); the triple intersection
     ker del ^ ker delbar ^ im d is the kernel of [del; delbar] on them, and
-    it is compared with del delbar(Lambda^{p-1,q-1}).
+    it is compared with del delbar(Lambda^{p-1,q-1}).  Every matrix comes
+    from forms, by ``dense_matrix``.
     """
     from geowb import linalg
     from geowb.existence import _degree_basis
-    from geowb.linalg import operator_matrix
 
     n, backend = pres.n, pres.backend
     la = linalg.for_backend(backend)
@@ -304,23 +335,23 @@ def ddbar_lemma_by_definition(pres: StructurePresentation, p: int, q: int) -> bo
     def unit_forms(basis):
         return [InvariantForm(n, {m: 1}, backend) for m in basis]
 
-    def matrix(op, sources, p, q):
-        return operator_matrix(op, sources, bidegree_basis(n, p, q), backend)
+    def matrix(images, p, q):
+        return dense_matrix(images, bidegree_basis(n, p, q))
 
     source = _degree_basis(n, p + q - 1)
     target = _degree_basis(n, p + q)
-    d_matrix = operator_matrix(pres.d, unit_forms(source), target, backend)
+    d_matrix = dense_matrix([pres.d(f) for f in unit_forms(source)], target)
     d_outside = [row for row, m in zip(d_matrix, target) if m.bidegree() != (p, q)]
     images = [
         pres.d(InvariantForm(n, dict(zip(source, k)), backend)).project(p, q)
         for k in la.nullspace(d_outside, len(source))
     ]
-    exact_dim = la.rank(matrix(lambda f: f, images, p, q))
-    closed_rows = matrix(pres.del_, images, p + 1, q)
-    closed_rows += matrix(pres.delbar, images, p, q + 1)
+    exact_dim = la.rank(matrix(images, p, q))
+    closed_rows = matrix([pres.del_(f) for f in images], p + 1, q)
+    closed_rows += matrix([pres.delbar(f) for f in images], p, q + 1)
     triple = exact_dim - la.rank(closed_rows)
     ddbar_sources = unit_forms(bidegree_basis(n, p - 1, q - 1))
-    return triple == la.rank(matrix(pres.del_delbar, ddbar_sources, p, q))
+    return triple == la.rank(matrix([pres.del_delbar(f) for f in ddbar_sources], p, q))
 
 
 def backends_agree(cases: int = 1000, seed: int = 109):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import suites
+from suites import float_copy, member
 from geowb import catalog
 from geowb import existence
 from geowb.existence import (
@@ -48,17 +49,6 @@ def nonzero_gr(rnd: random.Random) -> GaussRational:
         x = gr(rnd)
         if x:
             return x
-
-
-def float_copy(pres: StructurePresentation) -> StructurePresentation:
-    return StructurePresentation(
-        pres.n, [f.to_float() for f in pres.dphi], name=pres.name, backend=FLOAT
-    )
-
-
-def member(key: str, rnd: random.Random) -> StructurePresentation:
-    entry = catalog.entry(key)
-    return entry.instantiate(**{p.name: nonzero_gr(rnd) for p in entry.params})
 
 
 def metric_power(pres: StructurePresentation, p: int) -> InvariantForm:

@@ -17,7 +17,6 @@ from geowb.forms import (
     volume_form,
     volume_ratio,
     wedge,
-    wedge_all,
 )
 from geowb.scalars import EXACT, FLOAT, GaussRational, field
 
@@ -240,3 +239,19 @@ def test_bidegree_basis_counts():
         for p in range(n + 1):
             for q in range(n + 1):
                 assert len(bidegree_basis(n, p, q)) == math.comb(n, p) * math.comb(n, q)
+    assert isinstance(bidegree_basis(3, 1, 1), tuple)
+    assert bidegree_basis(3, 1, 1) is bidegree_basis(3, 1, 1)
+    assert bidegree_basis(3, 4, 0) == ()
+
+
+def test_monomial_contract():
+    m = Monomial.make([1, 3], [2], 3)
+    assert (m.holo, m.anti) == (0b101, 0b010)
+    assert hash(m) == hash((0b101, 0b010))
+    assert m == Monomial(0b101, 0b010) and m != Monomial(0b010, 0b101)
+    assert repr(m) == "Monomial(holo=5, anti=2)"
+    assert str(m) == "phi^{13}^phibar^{2}"
+    assert str(Monomial(0, 0)) == "1" and str(Monomial(0, 1)) == "phibar^{1}"
+    with pytest.raises(AttributeError):
+        m.holo = 1
+    assert {m: 1}[Monomial(5, 2)] == 1

@@ -4,8 +4,9 @@ import random
 import pytest
 
 import suites
-from geowb import catalog
-from geowb.forms import InvariantForm, Monomial, wedge
+from geowb import catalog, scalars
+from geowb.existence import _degree_basis
+from geowb.forms import InvariantForm, Monomial, bidegree_basis, wedge
 from geowb.lie import (
     PresentationError,
     StructurePresentation,
@@ -24,6 +25,12 @@ def torus(n):
 
 def gen(n, i, bar=False):
     return InvariantForm.generator(n, i, conjugated=bar)
+
+
+def non_integrable():
+    # d phi^1 with a (0,2) part
+    bad = InvariantForm(2, {Monomial.make([], [1, 2], 2): 1})
+    return StructurePresentation(2, [bad, InvariantForm.zero(2)])
 
 
 class TestDifferential:
@@ -97,14 +104,28 @@ class TestDolbeault:
             assert pres.delbar(f).is_zero()
 
     def test_non_integrable_rejected(self):
-        # d phi^1 with a (0,2) part
-        bad = InvariantForm(2, {Monomial.make([], [1, 2], 2): 1})
-        pres = StructurePresentation(2, [bad, InvariantForm.zero(2)])
+        pres = non_integrable()
+        bad = pres.dphi[0]
         assert not pres.is_integrable()
         for op in (pres.del_, pres.delbar, pres.del_delbar):
             with pytest.raises(PresentationError, match="not integrable"):
                 op(gen(2, 1))
         assert pres.d(gen(2, 1)).equals(bad)
+
+    @pytest.mark.parametrize("op", ["del_", "delbar", "del_delbar"])
+    def test_non_integrable_refused_on_a_zero_form(self, op):
+        # the refusal comes first, not from a monomial image
+        pres = non_integrable()
+        with pytest.raises(PresentationError, match="not integrable"):
+            getattr(pres, op)(InvariantForm.zero(2))
+
+    @pytest.mark.parametrize("op", ["del", "delbar", "del_delbar"])
+    def test_non_integrable_refused_by_matrix(self, op):
+        pres = non_integrable()
+        for sources in ([], [Monomial.make([1], [], 2)]):
+            with pytest.raises(PresentationError, match="not integrable"):
+                pres.matrix(op, sources, [])
+        assert pres.matrix("d", [Monomial.make([1], [], 2)], [Monomial(0, 3)]) == [[1]]
 
     @pytest.mark.parametrize("key", catalog.keys())
     def test_del_and_delbar_are_the_bidegree_parts_of_d(self, key):
@@ -262,3 +283,51 @@ class TestSerialization:
         }
         pres = presentation_from_json(doc)
         assert pres.validate().ok
+
+
+# ---- operator matrices against the images of unit forms ---------------------
+
+
+MATRIX_CASES = {
+    **{key: lambda key=key: catalog.get(key) for key in catalog.keys()},
+    **{
+        f"{key}-seeded": lambda key=key, seed=seed: suites.member(key, random.Random(seed))
+        for key, seed in (("fps6", 51), ("ft8", 52), ("st10", 53))
+    },
+}
+
+
+def _matrix_cases():
+    for key in sorted(MATRIX_CASES):
+        yield key, False
+        pres = MATRIX_CASES[key]()
+        if pres.backend == EXACT and pres.n <= 4:
+            yield key, True
+
+
+def nonzero(matrix) -> dict:
+    return {(r, j): x for r, row in enumerate(matrix) for j, x in enumerate(row) if x}
+
+
+@pytest.mark.parametrize("key,floating", list(_matrix_cases()))
+def test_matrix_matches_images(key, floating):
+    pres = MATRIX_CASES[key]()
+    if floating:
+        pres = suites.float_copy(pres)
+    n, field = pres.n, scalars.field(pres.backend)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            sources = bidegree_basis(n, p, q)
+            units = [InvariantForm(n, {m: 1}, pres.backend) for m in sources]
+            for op, form_op, targets in (
+                ("d", pres.d, _degree_basis(n, p + q + 1)),
+                ("del", pres.del_, bidegree_basis(n, p + 1, q)),
+                ("delbar", pres.delbar, bidegree_basis(n, p, q + 1)),
+                ("del_delbar", pres.del_delbar, bidegree_basis(n, p + 1, q + 1)),
+            ):
+                want = nonzero(suites.dense_matrix([form_op(u) for u in units], targets))
+                got = pres.matrix(op, sources, targets)
+                assert [len(row) for row in got] == [len(sources)] * len(targets)
+                got = nonzero(got)
+                assert got.keys() == want.keys(), (op, p, q)
+                assert all(field.close(got[k], want[k], 1e-12) for k in got), (op, p, q)

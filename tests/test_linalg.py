@@ -1,4 +1,4 @@
-"""The per-backend linear-algebra objects and the operator-matrix builder."""
+"""The per-backend linear-algebra objects and the operator matrices they reduce."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from geowb import catalog, linalg
 from geowb.existence import exact_simple_holomorphic_search
-from geowb.forms import InvariantForm, Monomial
+from geowb.forms import Monomial
 from geowb.lie import StructurePresentation
 from geowb.scalars import EXACT, FLOAT, ZERO, GaussRational
 
@@ -254,12 +254,17 @@ def test_unknown_backend():
 
 
 def test_operator_matrix_columns_are_images():
-    pres = catalog.fps6(E=1)  # d phi^3 = phi^12
-    sources = [InvariantForm(3, {Monomial.make([3], [], 3): 1}), InvariantForm.zero(3)]
+    pres = catalog.fps6(E=1)  # d phi^3 = phi^12, d phi^1 = 0
+    sources = [Monomial.make([3], [], 3), Monomial.make([1], [], 3)]
     targets = [Monomial.make([1, 2], [], 3), Monomial.make([1, 3], [], 3)]
-    assert linalg.operator_matrix(pres.d, sources, targets, EXACT) == [[1, 0], [0, 0]]
+    matrix = pres.matrix("d", sources, targets)
+    assert matrix == [[1, 0], [0, 0]]
+    # empty entries are the field's shared zero, which rref skips by identity
+    assert matrix[1][0] is ZERO and matrix[0][1] is ZERO
     with pytest.raises(KeyError):
-        linalg.operator_matrix(pres.d, sources, targets[1:], EXACT)
+        pres.matrix("d", sources, targets[1:])
+    with pytest.raises(ValueError, match="unknown operator"):
+        pres.matrix("dd", sources, targets)
 
 
 @pytest.mark.parametrize("key", ["nakamura-v-12", "eta-beta-5", "nakamura-iv-5"])

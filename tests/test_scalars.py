@@ -233,6 +233,12 @@ class TestDecisions:
         with pytest.raises(TypeError):
             FLOAT_FIELD.coerce("1")
 
+    def test_as_real(self):
+        # a real exact value is returned as it is, with no round trip
+        x = GaussRational(Fraction(-7, 3))
+        assert EXACT_FIELD.as_real(x) is x
+        assert FLOAT_FIELD.as_real(2.5 + 3e-17j) == 2.5 + 0j
+
 
 def _backend_decisions(path: Path) -> list[str]:
     """Comparisons with the backend names and type tests on GaussRational."""

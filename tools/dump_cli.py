@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Digest of the geowb CLI's output on the benchmark's queries.
+
+    python3 tools/dump_cli.py [--workload NAME] [--seeds 1 2] > dump.txt
+
+Runs every distinct round of the given seeds (1 and 2 by default) of each
+workload of ``perfbench/workloads.py`` (or of the one named), each query
+once with ``--json`` and once without, in process through
+``click.testing.CliRunner``, and prints one line per invocation:
+
+    <query digest> <kind>/<json|text> <exit code> <sha1 of stdout>
+
+Run it from the root of each of two checkouts (it imports ``geowb`` from
+the checkout's ``src/``) and diff the two dumps: a change that keeps every
+verdict, evidence line and exit code gives identical dumps.  Input files
+are written under one temporary directory and named by relative paths,
+so an output that echoes a path is the same in both checkouts.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ.pop("GEOWB_SEED", None)
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def dump(workloads, names, seeds, out) -> int:
+    """Print the digest lines of every invocation; returns their count."""
+    from click.testing import CliRunner
+
+    import geowb.cli
+
+    runner = CliRunner()
+    count = 0
+    for name in names:
+        for seed in seeds:
+            for index in range(workloads.DISTINCT_ROUNDS[name]):
+                for query in workloads.make_round(name, seed, index):
+                    paths = {}
+                    for file_name, text in query.files:
+                        path = hashlib.sha1(text.encode()).hexdigest()[:20] + ".json"
+                        Path(path).write_text(text)
+                        paths[file_name] = path
+                    argv = query.argv(paths)
+                    for mode, args in (("json", argv), ("text", argv[1:])):
+                        result = runner.invoke(geowb.cli.main, args)
+                        digest = hashlib.sha1(result.stdout.encode()).hexdigest()
+                        print(f"{query.digest()} {query.kind}/{mode} "
+                              f"{result.exit_code} {digest}", file=out)
+                        count += 1
+    return count
+
+
+def main(argv=None) -> int:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=workloads.WORKLOADS,
+                        help="one workload (default: all of them)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = parser.parse_args(argv)
+    names = [args.workload] if args.workload else list(workloads.WORKLOADS)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            count = dump(workloads, names, args.seeds, sys.stdout)
+        finally:
+            os.chdir(home)
+    print(f"{count} invocations", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
