@@ -58,7 +58,6 @@ from .existence import (
     fps_solution_circle,
     ft8_3symplectic_condition,
     ft8_combined_system,
-    ft8_ddbar_omega2,
     invariant_ddbar_lemma_check,
     st10_4symplectic_condition,
     st10_combined_system,
@@ -96,7 +95,6 @@ __all__ = [
     "fps_solution_circle",
     "ft8_3symplectic_condition",
     "ft8_combined_system",
-    "ft8_ddbar_omega2",
     "fundamental_form",
     "invariant_ddbar_lemma_check",
     "is_J_nilpotent",

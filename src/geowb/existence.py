@@ -47,11 +47,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import catalog as _catalog
 from . import linalg, scalars
 from .forms import InvariantForm, Monomial, bidegree_basis, wedge
 from .lie import PresentationError, StructurePresentation
-from .metrics import HermitianMetric, metric_power
 from .positivity import SimpleForm, is_decomposable
 from .scalars import GaussRational
 
@@ -316,17 +314,6 @@ def ft8_combined_system(a, M2) -> bool:
         + M2.conjugate() * a2
     )
     return astheno and not closed
-
-
-def ft8_ddbar_omega2(a) -> InvariantForm:
-    """del delbar omega^2 for the diagonal metric on the rank-4 family.
-
-    Zero exactly when the astheno identity holds; a nonzero value is a
-    single sign-definite multiple of eta^{123 123b}, which feeds the
-    pluriclosed obstruction certificate.
-    """
-    pres = _catalog.ft8(*a)
-    return pres.del_delbar(metric_power(HermitianMetric.identity(4), 2))
 
 
 def st10_4symplectic_condition(a, b, c, d, L3=0, M2=0, N1=0, S2=0, S3=0, P=0):

@@ -282,7 +282,15 @@ class InvariantForm:
         return InvariantForm(self.n, terms, self.backend)
 
     def is_real(self, tol: float | None = None) -> bool:
-        return self.conjugate().equals(self, tol)
+        """conjugate().equals(self, tol) in one pass: the term c phi^I ^
+        phibar^J against (-1)^(|I| |J|) conj(c) at phi^J ^ phibar^I."""
+        field, terms = scalars.field(self.backend), self.terms
+        for (holo, anti), c in terms.items():
+            c = -c.conjugate() if holo.bit_count() & anti.bit_count() & 1 else c.conjugate()
+            # a Monomial hashes and compares as the plain tuple (holo, anti)
+            if not field.close(terms.get((anti, holo), field.zero), c, tol):
+                return False
+        return True
 
     def to_float(self) -> "InvariantForm":
         return InvariantForm(self.n, self.terms, FLOAT)

@@ -10,7 +10,8 @@ evaluates that quantity exactly; ``pairing_matrix`` writes it as a
 Hermitian form T on the Pluecker coordinates of beta.
 ``transversality_sample`` searches for a violating beta with random draws,
 each refined by one coordinate-descent pass, SAMPLE_CHUNK draws at a time
-as one (chunk, n-p, n) stack with one numpy det/svd/eigh call per step.
+as one (chunk, n-p, n) stack, with one numpy svd/eigh call per step, the
+Pluecker minors by Laplace expansion and Gram determinants by Cauchy-Binet.
 Its seed contract: draw k is the k-th draw of
 ``numpy.random.default_rng(seed)`` whatever the chunking, and a falsified
 verdict reports the 1-based index k of the first falsifying draw as
@@ -39,6 +40,7 @@ and returns None for every other form; those forms are left to sampling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -48,7 +50,7 @@ from . import scalars
 from .forms import (
     InvariantForm,
     Monomial,
-    _indices,
+    bidegree_basis,
     sigma,
     volume_ratio,
     wedge,
@@ -113,10 +115,7 @@ class SimpleForm:
         )
 
     def gram_det(self) -> float:
-        b = self.to_matrix()
-        if b.shape[0] == 0:
-            return 1.0
-        return float(np.linalg.det(b @ b.conj().T).real)
+        return float(_gram(_plucker(self.to_matrix().reshape(self.degree, self.n))))
 
     def to_json(self) -> dict:
         rows = [[scalars.field_of(c).to_json(c) for c in row] for row in self.factors]
@@ -212,6 +211,20 @@ def pairing(psi: InvariantForm, beta: SimpleForm):
     return volume_ratio(prod)
 
 
+@functools.cache
+def _pairing_plan(n: int, q: int) -> dict:
+    """{mu: (row, col, sign)} over the (n-q, n-q) monomials: the q-subsets
+    complementary to mu's index sets, and the sign of mu ^ their monomial."""
+    index = {s: k for k, s in enumerate(itertools.combinations(range(1, n + 1), q))}
+    full = (1 << n) - 1
+    plan = {}
+    for mono in bidegree_basis(n, n - q, n - q):
+        partner = Monomial(full & ~mono.holo, full & ~mono.anti)
+        _, sign = wedge_monomials(mono, partner)
+        plan[mono] = index[partner.holo_indices], index[partner.anti_indices], sign
+    return plan
+
+
 def pairing_matrix(psi: InvariantForm):
     """(subsets, T): pairing(psi, beta) = P @ T @ conj(P) for the Pluecker
     coordinates P of beta over the listed (n-p)-subsets.
@@ -219,27 +232,17 @@ def pairing_matrix(psi: InvariantForm):
     T is Hermitian whenever psi is real; it is computed exactly and then
     converted to complex.
     """
-    n = psi.n
-    bideg = psi.bidegree()
-    p = bideg[0] if bideg else n
-    q = n - p
+    n, bideg = psi.n, psi.bidegree()
+    q = n - (bideg[0] if bideg else n)
     subsets = list(itertools.combinations(range(1, n + 1), q))
-    index = {s: k for k, s in enumerate(subsets)}
     t = np.zeros((len(subsets), len(subsets)), dtype=complex)
     sig = complex(sigma(q, psi.backend))
     vol_unit = complex(sigma(n, psi.backend))
-    full = (1 << n) - 1
+    plan = _pairing_plan(n, q)
     for mono, coeff in psi.terms.items():
-        holo_c = _indices(full & ~mono.holo)
-        anti_c = _indices(full & ~mono.anti)
-        if len(holo_c) != q or len(anti_c) != q:
-            continue
-        partner = Monomial.make(holo_c, anti_c, n)
-        _, sign = wedge_monomials(mono, partner)
-        if sign == 0:
-            continue
-        value = complex(coeff) * sign * sig / vol_unit
-        t[index[holo_c], index[anti_c]] += value
+        if mono in plan:
+            row, col, sign = plan[mono]
+            t[row, col] += complex(coeff) * sign * sig / vol_unit
     return subsets, t
 
 
@@ -247,17 +250,49 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2).conj()
 
 
-def _plucker(b: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Pluecker coordinates of a stack (..., q, n) of factor matrices: its
-    q x q minors on the 0-based column subsets ``cols`` (m, q), as (..., m)."""
-    return np.linalg.det(np.swapaxes(b[..., :, cols], -3, -2))
+@functools.cache
+def _expansion(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(subsets, minor, sign): by Laplace along row r-1, the minor on the
+    r-subset of columns subsets[i] is the sum over t of sign[t] * entry(r-1,
+    subsets[i, t]) * (the minor of rows 0..r-2 on the minor[i, t]-th subset)."""
+    below = {s: i for i, s in enumerate(itertools.combinations(range(n), r - 1))}
+    subsets = list(itertools.combinations(range(n), r))
+    minor = [[below[s[:t] + s[t + 1:]] for t in range(r)] for s in subsets]
+    return np.array(subsets), np.array(minor), (-1) ** np.arange(r - 1, 2 * r - 1)
 
 
-def _sample_values(b: np.ndarray, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _plucker(b: np.ndarray) -> np.ndarray:
+    """Pluecker coordinates (..., C(n, q)) of a stack (..., q, n) of factor
+    matrices: its q x q minors, by Laplace row by row from the 0 x 0 minor 1."""
+    q, n = b.shape[-2:]
+    minors = np.ones(b.shape[:-2] + (1,), dtype=b.dtype)
+    for r in range(1, q + 1):
+        subsets, minor, sign = _expansion(n, r)
+        minors = (b[..., r - 1, subsets] * minors[..., minor] * sign).sum(axis=-1)
+    return minors
+
+
+def _gram(minors: np.ndarray) -> np.ndarray:
+    """det(b b^H) from the Pluecker coordinates of b (Cauchy-Binet)."""
+    return (minors.real ** 2 + minors.imag ** 2).sum(axis=-1)
+
+
+def _replaced_rows(minors: np.ndarray, n: int, q: int, k: int) -> np.ndarray:
+    """Row j: the Pluecker coordinates of a q x n matrix with row k replaced
+    by e_j, from the (q-1)-minors of its other rows.  By Laplace along row k
+    that is (-1)^(k+t) times the minor on S minus j at S with S[t] = j."""
+    subsets, minor, _ = _expansion(n, q)
+    sign = (-1) ** (k + np.arange(q))
+    out = np.zeros(minors.shape[:-1] + (n, len(subsets)), dtype=minors.dtype)
+    out[..., subsets, np.arange(len(subsets))[:, None]] = minors[..., minor] * sign
+    return out
+
+
+def _sample_values(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Gram-normalised pairings of a stack (batch, q, n) of draws; inf where
     the factors are degenerate (the caller skips those draws)."""
-    p = _plucker(b, cols)
-    gram = np.linalg.det(b @ _adjoint(b)).real
+    p = _plucker(b)
+    gram = _gram(p)
     raw = ((p @ t) * p.conj()).sum(axis=-1).real
     values = np.full(len(b), np.inf)
     ok = gram > 1e-300
@@ -265,35 +300,31 @@ def _sample_values(b: np.ndarray, t: np.ndarray, cols: np.ndarray) -> np.ndarray
     return values
 
 
-def _refine_pass(b: np.ndarray, t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _refine_pass(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     """One coordinate-descent pass over a stack (batch, q, n) of draws:
     minimise each draw's Gram-normalised pairing over each factor in turn,
     holding the others fixed.  A draw whose other factors are (nearly)
     dependent keeps that factor."""
     batch, q, n = b.shape
-    eye = np.eye(n, dtype=complex)
     for k in range(q):
+        others = np.delete(b, k, axis=-2)
+        minors = _plucker(others)
+        gram_others = _gram(minors)  # exactly 1 when q = 1
+        keep = gram_others > 1e-12
         if q == 1:
-            keep = np.ones(batch, dtype=bool)
-            gram_others = np.ones(batch)
-            basis = np.broadcast_to(eye, (batch, n, n))
+            basis = np.broadcast_to(np.eye(n, dtype=complex), (batch, n, n))
         else:
-            others = np.delete(b, k, axis=-2)
-            gram_others = np.linalg.det(others @ _adjoint(others)).real
             # null space of others.conj(), when its rank is q - 1: every
             # singular value is above max * eps * n
             _, sv, vh = np.linalg.svd(others.conj())
-            full_rank = sv[:, -1] > sv[:, 0] * np.finfo(float).eps * n
-            keep = (gram_others > 1e-12) & full_rank
+            keep &= sv[:, -1] > sv[:, 0] * np.finfo(float).eps * n
             basis = _adjoint(vh[:, q - 1:])
         sel = np.flatnonzero(keep)
         if not sel.size:
             continue
         basis = basis[sel]
         # row j of s: the Pluecker vector of b with factor k replaced by e_j
-        replaced = np.repeat(b[sel, None], n, axis=1)
-        replaced[:, :, k] = eye
-        s = _plucker(replaced, cols)
+        s = _replaced_rows(minors[sel], n, q, k)
         m = s @ t @ _adjoint(s)
         # value(v) = v @ m @ conj(v) = v^H conj(m) v ; conj(m) is Hermitian
         reduced = _adjoint(basis) @ m.conj() @ basis / gram_others[sel, None, None]
@@ -353,18 +384,17 @@ def transversality_sample(
             tol=tol,
         )
 
-    subsets, t = pairing_matrix(psi)
-    cols = np.asarray(subsets) - 1
+    _, t = pairing_matrix(psi)
     rng = np.random.default_rng(seed)
     min_value = np.inf
     for start in range(0, samples, SAMPLE_CHUNK):
         draws = rng.standard_normal((min(SAMPLE_CHUNK, samples - start), 2, q, n))
         b = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
-        values = _sample_values(b, t, cols)
+        values = _sample_values(b, t)
         finite = np.isfinite(values)
-        refined = _refine_pass(b[finite], t, cols)
+        refined = _refine_pass(b[finite], t)
         b[finite] = refined
-        values[finite] = _sample_values(refined, t, cols)
+        values[finite] = _sample_values(refined, t)
         finite = np.isfinite(values)
         hits = np.flatnonzero(finite & (values <= tol))
         if hits.size:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 from numbers import Rational
 
@@ -85,17 +86,17 @@ class GaussRational:
         # Concrete types, not an ABC: cheap, and numpy float scalars subclass float.
         if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
             raise TypeError(_FLOAT_REJECTED)
-        if not isinstance(re, (int, Fraction)):
-            re = Fraction(re)
-        if not isinstance(im, (int, Fraction)):
-            im = Fraction(im)
+        if isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction)):
+            p, q = re.numerator, re.denominator
+            r, s = im.numerator, im.denominator
+        else:
+            (p, q), (r, s) = _ratio(re), _ratio(im)
         # over lcm(q, s) the triple of p/q + (r/s) i is already in normal form
-        q, s = re.denominator, im.denominator
         if q == s:
-            self._a, self._b, self._d = re.numerator, im.numerator, q
+            self._a, self._b, self._d = p, r, q
             return
         d = q * s // math.gcd(q, s)
-        self._a, self._b, self._d = re.numerator * (d // q), im.numerator * (d // s), d
+        self._a, self._b, self._d = p * (d // q), r * (d // s), d
 
     @classmethod
     def i(cls):
@@ -239,6 +240,22 @@ def _normal(a: int, b: int, d: int) -> GaussRational:
     z._b = b
     z._d = d
     return z
+
+
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(part) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms: an ASCII integer or "p/q"
+    string by ``int`` and one gcd, anything else through ``Fraction``."""
+    if type(part) is str and (match := _RATIO.fullmatch(part)):
+        num, den = int(match[1]), int(match[2] or 1)
+        if den:
+            g = _gcd(num, den)
+            return num // g, den // g
+    if not isinstance(part, Fraction):
+        part = Fraction(part)
+    return part.numerator, part.denominator
 
 
 def _coerce(value):

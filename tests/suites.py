@@ -7,13 +7,18 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from geowb import catalog
 from geowb.forms import (
     InvariantForm,
     Monomial,
+    _indices,
     bidegree_basis,
     normalize_monomial,
+    sigma,
     wedge,
+    wedge_monomials,
 )
 from geowb.lie import StructurePresentation
 from geowb.positivity import SimpleForm, pairing
@@ -370,3 +375,32 @@ def backends_agree(cases: int = 1000, seed: int = 109):
         )
         assert exact.to_float().equals(floating, tol=1e-9)
 
+
+
+def pairing_matrix_by_terms(psi: InvariantForm):
+    """(subsets, T) of ``positivity.pairing_matrix``, built term by term:
+    each (p, p) monomial's partner over the complements of its index sets,
+    and the sign of their wedge.  The body ``pairing_matrix`` had before it
+    read a memoised table; the tests check the table against it."""
+    n = psi.n
+    bideg = psi.bidegree()
+    p = bideg[0] if bideg else n
+    q = n - p
+    subsets = list(itertools.combinations(range(1, n + 1), q))
+    index = {s: k for k, s in enumerate(subsets)}
+    t = np.zeros((len(subsets), len(subsets)), dtype=complex)
+    sig = complex(sigma(q, psi.backend))
+    vol_unit = complex(sigma(n, psi.backend))
+    full = (1 << n) - 1
+    for mono, coeff in psi.terms.items():
+        holo_c = _indices(full & ~mono.holo)
+        anti_c = _indices(full & ~mono.anti)
+        if len(holo_c) != q or len(anti_c) != q:
+            continue
+        partner = Monomial.make(holo_c, anti_c, n)
+        _, sign = wedge_monomials(mono, partner)
+        if sign == 0:
+            continue
+        value = complex(coeff) * sign * sig / vol_unit
+        t[index[holo_c], index[anti_c]] += value
+    return subsets, t

@@ -131,6 +131,41 @@ class TestProjectAndReal:
     def test_not_real(self):
         assert not wedge(gen(2, 1), gen(2, 2, bar=True)).is_real()
 
+    def test_is_real_matches_the_conjugate(self):
+        # the definition: conjugate().equals(self, tol)
+        rnd = random.Random(23)
+        verdicts = set()
+        for _ in range(300):
+            n = rnd.randint(1, 4)
+            f = suites.random_form(rnd, n, terms=4)
+            for g in (f, f + f.conjugate(), f - f.conjugate()):
+                verdicts.add(g.is_real())
+                assert g.is_real() == g.conjugate().equals(g)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("tol", [None, 1e-6])
+    def test_float_is_real_within_tol(self, tol):
+        eps = field(FLOAT).tolerance(tol)
+        rnd = random.Random(29)
+        for _ in range(100):
+            n = rnd.randint(2, 4)
+            f = suites.random_form(rnd, n, terms=4)
+            real = (f + f.conjugate()).to_float()
+            mono = rnd.choice([m for m in real.terms if m.holo != m.anti] or [None])
+            if mono is None:
+                continue
+            for delta, expected in ((0.9 * eps, True), (1.1 * eps, False)):
+                shift = delta * complex(rnd.choice([1, -1, 1j, -1j]))
+                perturbed = InvariantForm(
+                    n, {**real.terms, mono: real.terms[mono] + shift}, FLOAT
+                )
+                assert perturbed.is_real(tol) == expected
+                assert perturbed.conjugate().equals(perturbed, tol) == expected
+                # a lone term whose partner is missing
+                lone = InvariantForm(n, {mono: shift}, FLOAT)
+                assert lone.is_real(tol) == expected
+                assert lone.conjugate().equals(lone, tol) == expected
+
 
 class TestSigmaVolume:
     @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +19,10 @@ from geowb.positivity import (
     PPFormError,
     SimpleForm,
     TransversalityVerdict,
+    _gram,
+    _plucker,
     _refine_pass,
+    _replaced_rows,
     _sample_values,
     interior_product,
     is_decomposable,
@@ -92,6 +97,92 @@ class TestPairing:
             assert abs(via_matrix - direct.real) < 1e-8 * max(1, abs(direct.real))
 
 
+def tridiagonal_metric(n):
+    """A positive-definite (diagonally dominant) non-diagonal exact metric."""
+    off = G(Fraction(1, 2), Fraction(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        rows[j][j] = 2 + j
+        if j + 1 < n:
+            rows[j][j + 1], rows[j + 1][j] = off, off.conjugate()
+    return HermitianMetric(rows)
+
+
+PAIRING_FORMS = [
+    *(
+        (f"metric-power-n{n}p{p}", lambda n=n, p=p: metric_power(tridiagonal_metric(n), p))
+        for n in range(2, 7)
+        for p in range(0, n + 1)
+    ),
+    ("eta-beta-5", catalog.eta_beta5_three_kahler_form),
+    ("om-a-3/2", lambda: omega_a_form(G(Fraction(3, 2)), pair=(1, 6))),
+    ("om-a-i", lambda: omega_a_form(G(0, 1), pair=(2, 5))),
+    ("om-a-float", lambda: omega_a_form(G(Fraction(1, 3), -2), pair=(3, 4), backend=FLOAT)),
+]
+
+
+class TestPairingMatrix:
+    @pytest.mark.parametrize("name, make", PAIRING_FORMS, ids=[n for n, _ in PAIRING_FORMS])
+    def test_matches_the_term_by_term_build(self, name, make):
+        psi = make()
+        subsets, t = pairing_matrix(psi)
+        ref_subsets, ref_t = suites.pairing_matrix_by_terms(psi)
+        assert subsets == ref_subsets
+        assert np.array_equal(t, ref_t)  # bit for bit
+
+
+def factor_stacks(n, q, rng):
+    """A seeded (8, q, n) complex stack whose last two draws are rank
+    deficient: a repeated row, and a row that combines the others (zero
+    rows when q = 1)."""
+    b = rng.standard_normal((8, q, n)) + 1j * rng.standard_normal((8, q, n))
+    if q > 1:
+        b[-2, -1] = b[-2, 0]
+        b[-1, -1] = (1 - 2j) * b[-1, 0] + 0.5 * b[-1, -2]
+    else:
+        b[-2:] = 0
+    return b
+
+
+def det_minors(b):
+    """q x q minors of a (..., q, n) stack by LAPACK, in combinations order."""
+    q, n = b.shape[-2:]
+    cols = np.array(list(itertools.combinations(range(n), q)))
+    return np.linalg.det(np.swapaxes(b[..., :, cols], -3, -2))
+
+
+KERNEL_SHAPES = [(n, q) for n in range(2, 7) for q in range(1, n)]
+
+
+class TestLaplaceKernels:
+    @pytest.mark.parametrize("n, q", KERNEL_SHAPES)
+    def test_plucker_matches_det(self, n, q):
+        b = factor_stacks(n, q, np.random.default_rng(100 * n + q))
+        p = _plucker(b)
+        assert p.shape == (8, math.comb(n, q))
+        assert np.allclose(p, det_minors(b), rtol=0, atol=1e-12)
+        assert np.allclose(p[-2:], 0, rtol=0, atol=1e-12)  # the rank-deficient draws
+        assert np.allclose(_plucker(b[:, :0]), 1)  # the one 0 x 0 minor
+
+    @pytest.mark.parametrize("n, q", KERNEL_SHAPES)
+    def test_gram_is_cauchy_binet(self, n, q):
+        b = factor_stacks(n, q, np.random.default_rng(200 * n + q))
+        gram = np.linalg.det(b @ np.swapaxes(b, -1, -2).conj()).real
+        # on the scale of Hadamard's bound prod |b_i|^2 on a Gram determinant
+        scale = (np.abs(b) ** 2).sum(axis=-1).prod(axis=-1)
+        assert np.all(np.abs(_gram(_plucker(b)) - gram) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n, q", KERNEL_SHAPES)
+    def test_replaced_rows_from_cofactors(self, n, q):
+        b = factor_stacks(n, q, np.random.default_rng(300 * n + q))
+        eye = np.eye(n)
+        for k in range(q):
+            s = _replaced_rows(_plucker(np.delete(b, k, axis=-2)), n, q, k)
+            replaced = np.repeat(b[:, None], n, axis=1)
+            replaced[:, :, k] = eye
+            assert np.allclose(s, det_minors(replaced), rtol=0, atol=1e-12)
+
+
 class TestSampling:
     def test_eta_beta5_not_falsified(self):
         psi = catalog.eta_beta5_three_kahler_form()
@@ -159,17 +250,16 @@ def one_draw_at_a_time(psi, samples, seed, tol=FALSIFICATION_TOL):
     stack of one: (kind, samples, value, witness matrix or None)."""
     n = psi.n
     q = n - pp_degree(psi)
-    subsets, t = pairing_matrix(psi)
-    cols = np.asarray(subsets) - 1
+    _, t = pairing_matrix(psi)
     rng = np.random.default_rng(seed)
     min_value = np.inf
     for k in range(samples):
         b = (rng.standard_normal((q, n)) + 1j * rng.standard_normal((q, n))) / np.sqrt(2)
         b = b[None]
-        value = _sample_values(b, t, cols)[0]
+        value = _sample_values(b, t)[0]
         if np.isfinite(value):
-            b = _refine_pass(b, t, cols)
-            value = _sample_values(b, t, cols)[0]
+            b = _refine_pass(b, t)
+            value = _sample_values(b, t)[0]
         if not np.isfinite(value):
             continue
         min_value = min(min_value, value)

@@ -180,6 +180,63 @@ class TestParse:
         assert FLOAT_FIELD.parse(FLOAT_FIELD.format(value)) == pytest.approx(value, rel=1e-5)
 
 
+# Exact part strings: the ASCII integers and "p/q" ratios that GaussRational
+# reads without a Fraction, and strings that Fraction reads or refuses.
+PART_STRINGS = [
+    "0", "-0", "+0", "7", "-7", "+7", "007", "12345678901234567890123",
+    "-1/2", "6/4", "-6/4", "+3/9", "0/5", "-0/3", "10/10", "007/014",
+    "1/0", "0/0", "-5/0", "3/-4", "3/+4", "1/2/3", "1//2", "1/", "/2",
+    "1.5", "-0.25", "1e3", "1E-2", ".5", "5.", "0.5/2",
+    " 3", "3 ", " 1/2 ", "1 /2", "1/ 2", "\t4\n", "1_000", "1/2_0", "1__0",
+    "\u0661\u0662", "\u0663/\u0664", "\u00b2", "\u00bd", "\uff13",
+    "", "+", "-", "/", "--1", "+-1", "abc", "inf", "nan", "0x10", "1j",
+]
+
+
+def outcome(make, text):
+    """make(text), or the type and message of what it raises."""
+    try:
+        return make(text)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+class TestExactStrings:
+    @pytest.mark.parametrize("text", PART_STRINGS)
+    def test_a_part_reads_as_fraction_reads_it(self, text):
+        expected = outcome(Fraction, text)
+        # (constructor, where the text lands, the other part's value)
+        for make, parts in (
+            (lambda t: GaussRational(t), lambda z: (z.re, z.im, 0)),
+            (lambda t: GaussRational("0", t), lambda z: (z.im, z.re, 0)),
+            (lambda t: GaussRational(t, "-1/3"), lambda z: (z.re, z.im, Fraction(-1, 3))),
+        ):
+            got = outcome(make, text)
+            if isinstance(expected, tuple):
+                assert got == expected
+            else:
+                part, other_part, other = parts(got)
+                assert part == expected and other_part == other
+
+    @pytest.mark.parametrize("re_text", ["3", "-1/2", "6/4", "0", "5/10"])
+    @pytest.mark.parametrize("im_text", ["9/4", "-2", "0/7", "4/6", "1/3"])
+    def test_the_triple_is_normalised(self, re_text, im_text):
+        z = GaussRational(re_text, im_text)
+        reference = GaussRational(Fraction(re_text), Fraction(im_text))
+        assert (z._a, z._b, z._d) == (reference._a, reference._b, reference._d)
+        assert z.re == Fraction(re_text) and z.im == Fraction(im_text)
+
+    @pytest.mark.parametrize("part", [1.5, 0.0, 2j, True])
+    def test_floats_and_bools_are_still_refused(self, part):
+        with pytest.raises(TypeError):
+            EXACT_FIELD.from_json({"re": part, "im": "0"})
+        with pytest.raises(TypeError):
+            EXACT_FIELD.from_json({"re": "1/2", "im": part})
+        if not isinstance(part, bool):
+            with pytest.raises(TypeError):
+                GaussRational("1/2", part)
+
+
 class TestDecisions:
     def test_is_zero_takes_a_real_part(self):
         tiny = Fraction(1, 10**20)

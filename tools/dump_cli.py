@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the geowb CLI's output on the benchmark's queries.
 
-    python3 tools/dump_cli.py [--workload NAME] [--seeds 1 2] > dump.txt
+    python3 tools/dump_cli.py [--workload NAME] [--seeds 1 2] [--stdout] > dump.txt
 
 Runs every distinct round of the given seeds (1 and 2 by default) of each
 workload of ``perfbench/workloads.py`` (or of the one named), each query
@@ -10,9 +10,12 @@ once with ``--json`` and once without, in process through
 
     <query digest> <kind>/<json|text> <exit code> <sha1 of stdout>
 
-Run it from the root of each of two checkouts (it imports ``geowb`` from
-the checkout's ``src/``) and diff the two dumps: a change that keeps every
-verdict, evidence line and exit code gives identical dumps.  Input files
+or, with ``--stdout``, the stdout itself as a JSON string literal in place
+of its sha1.  Run it from the root of each of two checkouts (it imports
+``geowb`` from the checkout's ``src/``) and diff the two dumps: a change
+that keeps every verdict, evidence line and exit code gives identical
+dumps.  Sampled float output can only agree within a tolerance; compare
+two ``--stdout`` dumps of it with ``tools/compare_dumps.py``.  Input files
 are written under one temporary directory and named by relative paths,
 so an output that echoes a path is the same in both checkouts.
 """
@@ -28,6 +31,7 @@ os.environ.pop("GEOWB_SEED", None)
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -35,8 +39,9 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def dump(workloads, names, seeds, out) -> int:
-    """Print the digest lines of every invocation; returns their count."""
+def dump(workloads, names, seeds, out, stdout=False) -> int:
+    """Print the digest lines of every invocation, with the whole stdout
+    when ``stdout`` is set; returns their count."""
     from click.testing import CliRunner
 
     import geowb.cli
@@ -55,9 +60,12 @@ def dump(workloads, names, seeds, out) -> int:
                     argv = query.argv(paths)
                     for mode, args in (("json", argv), ("text", argv[1:])):
                         result = runner.invoke(geowb.cli.main, args)
-                        digest = hashlib.sha1(result.stdout.encode()).hexdigest()
+                        if stdout:
+                            shown = json.dumps(result.stdout)
+                        else:
+                            shown = hashlib.sha1(result.stdout.encode()).hexdigest()
                         print(f"{query.digest()} {query.kind}/{mode} "
-                              f"{result.exit_code} {digest}", file=out)
+                              f"{result.exit_code} {shown}", file=out)
                         count += 1
     return count
 
@@ -70,13 +78,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=workloads.WORKLOADS,
                         help="one workload (default: all of them)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--stdout", action="store_true",
+                        help="print each stdout, as a JSON string, not its sha1")
     args = parser.parse_args(argv)
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
-            count = dump(workloads, names, args.seeds, sys.stdout)
+            count = dump(workloads, names, args.seeds, sys.stdout, args.stdout)
         finally:
             os.chdir(home)
     print(f"{count} invocations", file=sys.stderr)
