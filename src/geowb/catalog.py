@@ -358,7 +358,7 @@ _V_LABELS = {
     8: ("nilpotent", ""),
     9: ("nilpotent", ""),
     10: ("nilpotent", ""),
-    11: ("solvable", _UNKNOWN_QUOTIENT),
+    11: ("solvable", "not unimodular as catalogued, so no lattice (Milnor 1976)"),
     12: ("solvable", ""),
     13: ("solvable", _UNKNOWN_QUOTIENT),
     14: ("solvable", ""),

@@ -5,7 +5,10 @@ Exit codes: 0 the check ran and holds, 1 the check ran and fails,
 included), 3 internal error.  Randomised reports embed
 seed and sample count; identical seed and configuration reproduce them
 bit-for-bit.  The seed falls back to the GEOWB_SEED environment variable,
-then to a fixed default.
+then to a fixed default; a negative or non-integer seed is a usage error.
+numpy loads only where it runs: in ``transverse`` when it samples or
+builds an Om_a witness, and in the float linear algebra of a float-backend
+structure or metric (s1-pi2).  Exact commands run without it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .lie import PresentationError, presentation_from_json, presentation_to_json
 from .scalars import EXACT, GaussRational
 
 DEFAULT_SEED = 20240
+_SEED = click.IntRange(min=0)  # --seed and GEOWB_SEED
 
 
 @dataclass
@@ -148,7 +152,7 @@ def _guard(func):
               show_default=True, help="absolute tolerance on the float backend")
 @click.option("--samples", type=int, default=10000, show_default=True,
               help="sample count for randomised transversality checks")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=_SEED, default=None,
               help=f"RNG seed (falls back to GEOWB_SEED, then {DEFAULT_SEED})")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 @click.pass_context
@@ -160,7 +164,11 @@ def main(ctx, epsilon, samples, seed, as_json):
         raise click.UsageError("--epsilon must be positive")
     if seed is None:
         env = os.environ.get("GEOWB_SEED")
-        seed = int(env) if env else DEFAULT_SEED
+        try:
+            seed = _SEED.convert(env, None, ctx) if env else DEFAULT_SEED
+        except click.BadParameter:
+            raise click.UsageError(
+                f"GEOWB_SEED must be a non-negative integer, got {env!r}") from None
     ctx.obj = RunConfig(
         epsilon=epsilon, samples=samples, seed=seed, as_json=as_json
     )

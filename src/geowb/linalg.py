@@ -10,7 +10,8 @@ over them:
 * float -- numpy singular values with one rank rule: a singular value
   counts when it exceeds ``RANK_RTOL * max(1, s_0)``, s_0 the largest.
   ``solve`` calls a system consistent when appending the right-hand side
-  leaves that rank unchanged.
+  leaves that rank unchanged.  numpy is imported by these methods on
+  first use, so the exact backend runs without it.
 
 Operator matrices on invariant forms (built by
 ``lie.StructurePresentation.matrix``) have at most a few hundred rows and
@@ -23,8 +24,6 @@ nonzero entries.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from . import scalars
 from .scalars import EXACT, FLOAT
@@ -140,10 +139,12 @@ class FloatLinalg:
         if singular_values.size == 0:
             return 0
         cutoff = RANK_RTOL * max(1.0, float(singular_values[0]))
-        return int(np.sum(singular_values > cutoff))
+        return int((singular_values > cutoff).sum())
 
     def pivot_columns(self, matrix) -> list[int]:
         """The columns that raise the rank, scanned left to right."""
+        import numpy as np
+
         a = np.array(matrix)
         pivots: list[int] = []
         for c in range(a.shape[1] if a.ndim == 2 else 0):
@@ -152,6 +153,8 @@ class FloatLinalg:
         return pivots
 
     def rank(self, matrix) -> int:
+        import numpy as np
+
         a = np.array(matrix)
         if a.size == 0:
             return 0
@@ -165,6 +168,8 @@ class FloatLinalg:
         """One (least-squares) solution of A x = b, or None if inconsistent."""
         if not matrix:
             return [0.0] * ncols
+        import numpy as np
+
         a = np.array(matrix)
         b = np.array(rhs)
         if self.rank(np.column_stack([a, b])) > self.rank(a):
@@ -175,6 +180,8 @@ class FloatLinalg:
 
     def nullspace(self, matrix, ncols: int):
         """Orthonormal basis of the kernel of A, as length-ncols vectors."""
+        import numpy as np
+
         if not matrix or ncols == 0:
             return np.eye(ncols).tolist()
         _, s, vh = np.linalg.svd(np.array(matrix))

@@ -21,6 +21,9 @@ positive outcomes are reported as ``not-falsified`` with the observed
 minimum.  Analytic certificates (metric powers, top-degree forms, the
 Om_a family below) are the only source of ``certified-positive`` verdicts.
 
+numpy is imported on first use, by the sampler, ``pairing_matrix``, the
+``SimpleForm`` matrix and Gram helpers and the falsifying Om_a witness.
+
 For n = 4 the (2, 0)-forms
 
     Om^1 = phi^{12}, Om^2 = phi^{13}, Om^3 = phi^{14},
@@ -43,8 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import scalars
 from .forms import (
@@ -57,6 +59,9 @@ from .forms import (
     wedge_monomials,
 )
 from .scalars import EXACT
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CERTIFIED_POSITIVE = "certified-positive"
 FALSIFIED = "falsified"
@@ -110,6 +115,8 @@ class SimpleForm:
         return out
 
     def to_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[complex(c) for c in row] for row in self.factors], dtype=complex
         )
@@ -232,6 +239,8 @@ def pairing_matrix(psi: InvariantForm):
     T is Hermitian whenever psi is real; it is computed exactly and then
     converted to complex.
     """
+    import numpy as np
+
     n, bideg = psi.n, psi.bidegree()
     q = n - (bideg[0] if bideg else n)
     subsets = list(itertools.combinations(range(1, n + 1), q))
@@ -247,7 +256,7 @@ def pairing_matrix(psi: InvariantForm):
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2).conj()
+    return a.swapaxes(-1, -2).conj()
 
 
 @functools.cache
@@ -255,6 +264,8 @@ def _expansion(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(subsets, minor, sign): by Laplace along row r-1, the minor on the
     r-subset of columns subsets[i] is the sum over t of sign[t] * entry(r-1,
     subsets[i, t]) * (the minor of rows 0..r-2 on the minor[i, t]-th subset)."""
+    import numpy as np
+
     below = {s: i for i, s in enumerate(itertools.combinations(range(n), r - 1))}
     subsets = list(itertools.combinations(range(n), r))
     minor = [[below[s[:t] + s[t + 1:]] for t in range(r)] for s in subsets]
@@ -264,6 +275,8 @@ def _expansion(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _plucker(b: np.ndarray) -> np.ndarray:
     """Pluecker coordinates (..., C(n, q)) of a stack (..., q, n) of factor
     matrices: its q x q minors, by Laplace row by row from the 0 x 0 minor 1."""
+    import numpy as np
+
     q, n = b.shape[-2:]
     minors = np.ones(b.shape[:-2] + (1,), dtype=b.dtype)
     for r in range(1, q + 1):
@@ -281,6 +294,8 @@ def _replaced_rows(minors: np.ndarray, n: int, q: int, k: int) -> np.ndarray:
     """Row j: the Pluecker coordinates of a q x n matrix with row k replaced
     by e_j, from the (q-1)-minors of its other rows.  By Laplace along row k
     that is (-1)^(k+t) times the minor on S minus j at S with S[t] = j."""
+    import numpy as np
+
     subsets, minor, _ = _expansion(n, q)
     sign = (-1) ** (k + np.arange(q))
     out = np.zeros(minors.shape[:-1] + (n, len(subsets)), dtype=minors.dtype)
@@ -291,6 +306,8 @@ def _replaced_rows(minors: np.ndarray, n: int, q: int, k: int) -> np.ndarray:
 def _sample_values(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Gram-normalised pairings of a stack (batch, q, n) of draws; inf where
     the factors are degenerate (the caller skips those draws)."""
+    import numpy as np
+
     p = _plucker(b)
     gram = _gram(p)
     raw = ((p @ t) * p.conj()).sum(axis=-1).real
@@ -305,6 +322,8 @@ def _refine_pass(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     minimise each draw's Gram-normalised pairing over each factor in turn,
     holding the others fixed.  A draw whose other factors are (nearly)
     dependent keeps that factor."""
+    import numpy as np
+
     batch, q, n = b.shape
     for k in range(q):
         others = np.delete(b, k, axis=-2)
@@ -383,6 +402,8 @@ def transversality_sample(
             seed=seed,
             tol=tol,
         )
+
+    import numpy as np
 
     _, t = pairing_matrix(psi)
     rng = np.random.default_rng(seed)
@@ -503,6 +524,8 @@ def _omega_a_boundary_witness(a: complex, pair) -> np.ndarray:
     """Om-basis coordinates z of a simple (2,0)-form sum z_l Om^l
     (z1 z6 + z2 z5 + z3 z4 = 0) at which the Hermitian form of Om_a,
     sum_l |z_l|^2 + 2 Re(a conj(z_i) z_j), equals 2|a|(2 - |a|)."""
+    import numpy as np
+
     mag = abs(a)
     z = np.zeros(6, dtype=complex)
     i, j = pair
@@ -534,7 +557,7 @@ def omega_a_transversality(psi: InvariantForm) -> TransversalityVerdict | None:
         return certified("omega-a-family", note=f"|a| < 2 with a = {a_text}")
     ac = complex(a)
     z = _omega_a_boundary_witness(ac, pair)
-    value = 2 * abs(ac) * (2 - abs(ac)) / float((np.conj(z) @ z).real)
+    value = 2 * abs(ac) * (2 - abs(ac)) / float((z.conj() @ z).real)
     return TransversalityVerdict(
         kind=FALSIFIED,
         witness=_z_to_simple_form(z),
@@ -548,6 +571,8 @@ def omega_a_transversality(psi: InvariantForm) -> TransversalityVerdict | None:
 def _z_to_simple_form(z: np.ndarray) -> SimpleForm:
     """Factor xi = sum z_l Om^l (simple when z1 z6 + z2 z5 + z3 z4 = 0)
     into two covectors."""
+    import numpy as np
+
     x = np.zeros((4, 4), dtype=complex)
     for l, ((a_idx, b_idx), sign) in enumerate(OMEGA_BASIS):
         x[a_idx - 1, b_idx - 1] += sign * z[l]

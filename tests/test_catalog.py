@@ -4,7 +4,7 @@ import time
 import pytest
 
 from geowb import catalog
-from geowb.forms import InvariantForm, Monomial
+from geowb.forms import InvariantForm, Monomial, bidegree_basis
 from geowb.lie import is_J_nilpotent, presentation_from_json, presentation_to_json
 from geowb.scalars import EXACT, FLOAT, GaussRational
 
@@ -36,9 +36,22 @@ class TestRegistry:
     def test_quotient_caveats_recorded(self):
         for key in ("nakamura-iv-7", "nakamura-v-15", "nakamura-v-18"):
             assert "no compact quotient" in catalog.entry(key).provenance
-        for key in ("nakamura-iv-5", "nakamura-v-11", "nakamura-v-13",
+        for key in ("nakamura-iv-5", "nakamura-v-13",
                     "nakamura-v-16", "nakamura-v-19", "nakamura-v-20"):
             assert "open" in catalog.entry(key).provenance
+        assert "not unimodular" in catalog.entry("nakamura-v-11").provenance
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_unimodular_except_v11(self, key):
+        # a Lie algebra is unimodular iff d vanishes on degree 2n-1; only a
+        # unimodular group can have a lattice (Milnor 1976)
+        pres = catalog.get(key)
+        tol = 1e-10 if pres.backend == FLOAT else None
+        n = pres.n
+        monos = [m for p in range(n + 1) for m in bidegree_basis(n, p, 2 * n - 1 - p)]
+        assert len(monos) == 2 * n
+        not_closed = [m for m in monos if not pres.d_monomial(m).is_zero(tol)]
+        assert len(not_closed) == (2 if key == "nakamura-v-11" else 0)
 
     def test_nilpotent_rows_are_J_nilpotent(self):
         for key in ALL_KEYS:

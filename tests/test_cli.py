@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from geowb.cli import main
+from geowb.cli import DEFAULT_SEED, main
 
 
 def run(*args):
@@ -489,16 +489,96 @@ def test_every_public_name_resolves():
     assert len(set(geowb.__all__)) == len(geowb.__all__)
 
 
-def test_cli_import_loads_no_scipy():
+def fresh_python(code, *args):
+    """stdout of ``code`` run in a new interpreter that imports this geowb."""
     from pathlib import Path
 
     import geowb
 
-    code = "import sys, geowb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(geowb.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    env.pop("GEOWB_SEED", None)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+# the top-level packages of sys.modules among numpy and scipy
+LOADED = "sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})"
+
+
+def test_cli_import_loads_no_scipy():
+    # nor numpy: only the float sampler and the float backend import it
+    for module in ("geowb", "geowb.cli"):
+        assert fresh_python(f"import sys, {module}; print({LOADED})").strip() == "[]", module
+
+
+def test_exact_commands_run_without_numpy(tmp_path):
+    params = write_json(tmp_path / "params.json", {"E": 1, "N": 1})
+    form = TestTransverseQuadricOption.rank3_omega(tmp_path)
+    exact = [
+        ["validate", "nakamura-iv-1"],
+        ["bc-dims", "nakamura-v-2"],
+        ["--json", "ddbar-lemma", "nakamura-v-2", "--p", "1", "--q", "1"],
+        ["classify-metric", "nakamura-iv-2"],
+        ["psymplectic", "--family", "fps6", "--params", params],
+        ["obstruct", "--search", "--structure", "nakamura-iv-6", "--p", "2"],
+    ]
+    numeric = [
+        ["bc-dims", "s1-pi2"],
+        ["--json", "--samples", "80", "--seed", "7", "transverse", "--form", form],
+    ]
+    code = f"""
+import json, sys
+from click.testing import CliRunner
+from geowb.cli import main
+exact, numeric = json.loads(sys.argv[1])
+results = [CliRunner().invoke(main, argv) for argv in exact]
+before = {LOADED}
+out = [CliRunner().invoke(main, argv) for argv in numeric]
+print(json.dumps({{"exact": [r.exit_code for r in results], "before": before,
+                  "after": {LOADED}, "numeric": [[r.exit_code, r.stdout] for r in out]}}))
+"""
+    got = json.loads(fresh_python(code, json.dumps([exact, numeric])))
+    assert all(c in (0, 1) for c in got["exact"]), got["exact"]
+    assert got["before"] == []
+    assert got["after"] == ["numpy"]
+    # the same invocations where numpy was loaded before geowb ran
+    import numpy  # noqa: F401
+
+    expected = [[r.exit_code, r.stdout] for r in (run(*argv) for argv in numeric)]
+    assert got["numeric"] == expected
+
+
+@pytest.mark.parametrize("args, env", [
+    (["--seed", "-1"], None),
+    ([], "abc"),
+    ([], "-3"),
+])
+def test_a_bad_seed_is_a_usage_error(monkeypatch, args, env):
+    if env is None:
+        monkeypatch.delenv("GEOWB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GEOWB_SEED", env)
+    for command in (["validate", "nakamura-iv-1"], ["transverse", "--omega-a", "1"]):
+        result = run(*args, *command)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output and "internal error" not in result.output
+    if env is not None:
+        assert "GEOWB_SEED" in result.output
+
+
+def test_seed_falls_back_to_the_environment(monkeypatch, tmp_path):
+    form = TestTransverseQuadricOption.rank3_omega(tmp_path)
+
+    def seed(*args):
+        result = run("--json", "--samples", "10", *args, "transverse", "--form", form)
+        assert result.exit_code == 0, result.output
+        return json.loads(result.stdout)["seed"]
+
+    monkeypatch.setenv("GEOWB_SEED", "11")
+    assert seed() == 11
+    assert seed("--seed", "0") == 0
+    monkeypatch.setenv("GEOWB_SEED", "")
+    assert seed() == DEFAULT_SEED
 
 
 def test_internal_error_exits_3(monkeypatch):
