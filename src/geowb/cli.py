@@ -27,7 +27,6 @@ from .lie import PresentationError, presentation_from_json, presentation_to_json
 from .scalars import EXACT, GaussRational
 
 DEFAULT_SEED = 20240
-_SEED = click.IntRange(min=0)  # --seed and GEOWB_SEED
 
 
 @dataclass
@@ -152,8 +151,8 @@ def _guard(func):
               show_default=True, help="absolute tolerance on the float backend")
 @click.option("--samples", type=int, default=10000, show_default=True,
               help="sample count for randomised transversality checks")
-@click.option("--seed", type=_SEED, default=None,
-              help=f"RNG seed (falls back to GEOWB_SEED, then {DEFAULT_SEED})")
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED,
+              envvar="GEOWB_SEED", show_envvar=True, show_default=True, help="RNG seed")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 @click.pass_context
 def main(ctx, epsilon, samples, seed, as_json):
@@ -162,13 +161,6 @@ def main(ctx, epsilon, samples, seed, as_json):
         raise click.UsageError("--samples must be positive")
     if epsilon <= 0:
         raise click.UsageError("--epsilon must be positive")
-    if seed is None:
-        env = os.environ.get("GEOWB_SEED")
-        try:
-            seed = _SEED.convert(env, None, ctx) if env else DEFAULT_SEED
-        except click.BadParameter:
-            raise click.UsageError(
-                f"GEOWB_SEED must be a non-negative integer, got {env!r}") from None
     ctx.obj = RunConfig(
         epsilon=epsilon, samples=samples, seed=seed, as_json=as_json
     )

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Start-up time of ``import geowb.cli`` in two checkouts, A/B.
 
-    python3 tools/setup_ab.py PARENT CHANGE [--launches 16]
+    python3 tools/setup_ab.py PARENT CHANGE
 
 Each argument is the root of a checkout (a directory with ``src/geowb``).
 Launches a fresh interpreter that runs ``import geowb.cli`` from each
@@ -29,6 +29,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from speedprobe import SpeedProbe  # noqa: E402
 
+LAUNCHES = 16  # timed launches per side
 IMPORT = [sys.executable, "-c", "import geowb.cli"]
 MODULES = [sys.executable, "-c",
            "import sys, geowb.cli; print(len(sys.modules), 'numpy' in sys.modules)"]
@@ -44,10 +45,7 @@ def launch(checkout: Path, cmd) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs=2, type=Path, metavar="CHECKOUT")
-    parser.add_argument("--launches", type=int, default=16, help="timed launches per side")
     args = parser.parse_args(argv)
-    if args.launches < 2:
-        parser.error("--launches must be at least 2")
     sides = [path.resolve() for path in args.checkouts]
     for path in sides:
         if not (path / "src" / "geowb" / "cli.py").is_file():
@@ -57,7 +55,7 @@ def main(argv=None) -> int:
         launch(path, IMPORT)
     probe = SpeedProbe()
     times: list[list[float]] = [[], []]
-    for i in range(args.launches):
+    for i in range(LAUNCHES):
         for k in (0, 1) if i % 2 == 0 else (1, 0):
             start = time.perf_counter()
             launch(sides[k], IMPORT)
