@@ -35,7 +35,6 @@ from .metrics import (
     classify,
     form_power,
     fundamental_form,
-    is_p_pluriclosed,
     metric_power,
 )
 from .positivity import (
@@ -53,14 +52,7 @@ from .existence import (
     bott_chern_dimensions,
     closure_system,
     exact_simple_holomorphic_search,
-    fps_psymplectic_condition,
-    fps_skt_2symplectic_system,
-    fps_solution_circle,
-    ft8_3symplectic_condition,
-    ft8_combined_system,
     invariant_ddbar_lemma_check,
-    st10_4symplectic_condition,
-    st10_combined_system,
     verify_obstruction_certificate,
 )
 from . import catalog
@@ -90,15 +82,9 @@ __all__ = [
     "form_from_json",
     "form_power",
     "form_to_json",
-    "fps_psymplectic_condition",
-    "fps_skt_2symplectic_system",
-    "fps_solution_circle",
-    "ft8_3symplectic_condition",
-    "ft8_combined_system",
     "fundamental_form",
     "invariant_ddbar_lemma_check",
     "is_J_nilpotent",
-    "is_p_pluriclosed",
     "metric_power",
     "normalize_monomial",
     "omega_a_form",
@@ -108,8 +94,6 @@ __all__ = [
     "presentation_from_json",
     "presentation_to_json",
     "sigma",
-    "st10_4symplectic_condition",
-    "st10_combined_system",
     "transversality_sample",
     "verify_obstruction_certificate",
     "volume_form",

@@ -337,17 +337,14 @@ def transverse(config, form_path, omega_a, no_quadric):
 # psymplectic
 # ---------------------------------------------------------------------------
 
-# p and the closure ansatz of each family; its structure letters are the
-# parameters of its catalogue entry and its free coefficients the ansatz names
-_FAMILIES = {
-    "fps6": (2, existence.fps_ansatz_basis),
-    "ft8": (3, existence.ft8_ansatz_basis),
-    "st10": (4, existence.st10_ansatz_basis),
-}
+# each family's p, ansatz and condition monomial M live in existence.FAMILIES;
+# its structure letters are the parameters of its catalogue entry and its free
+# coefficients the ansatz names.  One d Psi gives both the verdict and the
+# printed condition, its coefficient of M.
 
 
 @main.command()
-@click.option("--family", required=True, type=click.Choice(sorted(_FAMILIES)))
+@click.option("--family", required=True, type=click.Choice(sorted(existence.FAMILIES)))
 @click.option("--params", "params_path", required=True, type=str,
               help="JSON file with structure letters and free coefficients")
 @click.option("--metric", "metric_spec", default="diagonal", show_default=True)
@@ -355,53 +352,29 @@ _FAMILIES = {
 @_guard
 def psymplectic(config, family, params_path, metric_spec):
     """Closedness of the family ansatz Psi = lambda + omega^p + conj(lambda)."""
-    p, ansatz = _FAMILIES[family]
-    basis, names = ansatz()
+    ansatz = existence.FAMILIES[family]
+    p = ansatz.p
     letter_names = [param.name for param in cat.entry(family).params]
     params = _load_params(params_path, EXACT)
-    letters = {k: params.get(k, GaussRational(0)) for k in letter_names}
-    free = {k: params.get(k, GaussRational(0)) for k in names}
-    unknown = set(params) - set(letter_names) - set(names)
+    unknown = set(params) - set(letter_names) - set(ansatz.names)
     if unknown:
         raise InputError(f"unknown parameters: {sorted(unknown)}")
 
-    pres = cat.get(family, **letters)
+    pres = cat.get(family, **{k: params.get(k, GaussRational(0)) for k in letter_names})
     metric = _load_metric(metric_spec, pres)
     if not metric.is_positive_definite():
         raise InputError("metric is not positive definite")
-    omega = metrics.fundamental_form(metric)
-    fixed = metrics.form_power(omega, p)
+    if not ansatz.any_metric and metric_spec not in ("diagonal", "identity"):
+        raise InputError(f"the rank-{pres.n} family condition is for the diagonal metric")
 
-    if family == "fps6":
-        r2, s2, t2, u, v, w = metric.letters()
-        condition = existence.fps_psymplectic_condition(
-            letters["A"], letters["B"], letters["C"], letters["D"], letters["E"],
-            N=free["N"], r2=r2, s2=s2, t2=t2, u=u, v=v, w=w,
-        )
-    elif family == "ft8":
-        if metric_spec not in ("diagonal", "identity"):
-            raise InputError("the rank-4 family condition is for the diagonal metric")
-        condition = existence.ft8_3symplectic_condition(
-            list(letters.values()), L3=free["L3"], M2=free["M2"], N=free["N"],
-        )
-    else:
-        if metric_spec not in ("diagonal", "identity"):
-            raise InputError("the rank-5 family condition is for the diagonal metric")
-        condition = existence.st10_4symplectic_condition(
-            *([v for k, v in letters.items() if k[0] == group] for group in "abcd"),
-            L3=free["L3"], M2=free["M2"], N1=free["N1"],
-            S2=free["S2"], S3=free["S3"], P=free["P"],
-        )
-
-    solution = existence.closure_system(pres, p, fixed, basis, names)
-    coeffs = [free[name] for name in names]
-    closed = solution.is_member(coeffs)
+    fixed = metrics.form_power(metrics.fundamental_form(metric), p)
+    solution = existence.closure_system(pres, p, fixed, ansatz.basis, ansatz.names)
+    residual = solution.closure_residual(
+        [params.get(name, GaussRational(0)) for name in ansatz.names]
+    )
+    condition = residual.coeff(ansatz.condition_at)
+    closed = residual.is_zero()
     exact = scalars.field(EXACT)
-    if closed != exact.is_zero(condition):
-        raise RuntimeError(
-            "condition formula and direct closure check disagree; "
-            "this is a transcription bug"
-        )
 
     verdict = "YES" if closed else "NO"
     lines = [
@@ -444,6 +417,8 @@ def psymplectic(config, family, params_path, metric_spec):
 @_guard
 def obstruct(config, cert_path, structure, library_name, search, p_value, mode, budget):
     """Verify (or search for) a same-sign obstruction certificate."""
+    if (cert_path is not None) + (library_name is not None) + search > 1:
+        raise InputError("give one of --cert FILE, --library NAME and --search, not several")
     if library_name is not None:
         lib = cat.certificate_library()
         if library_name not in lib:

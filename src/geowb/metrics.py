@@ -1,16 +1,7 @@
 """Invariant Hermitian metrics and the special-metric classifier.
 
 A metric is an n x n Hermitian coefficient matrix H; its fundamental form
-is ``omega = (i/2) * sum_{j,k} H[j][k] phi^j ^ phibar^k``.  For n = 3 the
-traditional scalar letters are related to the matrix by
-
-    r^2 = H11,  s^2 = H22,  t^2 = H33,
-    u = i*H12,  v = i*H13,  w = i*H23,
-
-so that omega reads ``(i/2)(r^2 a^{1 1b} + s^2 a^{2 2b} + t^2 a^{3 3b})
-+ (u/2) a^{1 2b} - (ub/2) a^{2 1b} + ...``.  The letter mapping hides a
-factor i relative to the matrix entries; it is fixed here once and used
-consistently by the existence-analysis conditions.
+is ``omega = (i/2) * sum_{j,k} H[j][k] phi^j ^ phibar^k``.
 
 Every minor of H comes from one table, built once per metric:
 ``HermitianMetric.minors()`` holds det H[I, J] for every pair of index sets
@@ -78,38 +69,6 @@ class HermitianMetric:
         return cls(
             [[diag[j] if j == k else 0 for k in range(n)] for j in range(n)],
             backend,
-        )
-
-    @classmethod
-    def from_letters(cls, r2, s2, t2, u=0, v=0, w=0, backend: str = EXACT):
-        """Build the n = 3 metric from the scalar letters (squares given)."""
-        field = scalars.field(backend)
-        minus_i = field.i_power(3)
-        h12 = minus_i * field.coerce(u)
-        h13 = minus_i * field.coerce(v)
-        h23 = minus_i * field.coerce(w)
-        return cls(
-            [
-                [r2, h12, h13],
-                [h12.conjugate(), s2, h23],
-                [h13.conjugate(), h23.conjugate(), t2],
-            ],
-            backend,
-        )
-
-    def letters(self):
-        """The n = 3 letters (r2, s2, t2, u, v, w) of this metric."""
-        if self.n != 3:
-            raise ValueError("letters are defined for n = 3 only")
-        i_unit = scalars.field(self.backend).i_power(1)
-        h = self.entries
-        return (
-            h[0][0].real,
-            h[1][1].real,
-            h[2][2].real,
-            i_unit * h[0][1],
-            i_unit * h[0][2],
-            i_unit * h[1][2],
         )
 
     def minors(self) -> list[dict[tuple[int, int], object]]:
@@ -340,58 +299,3 @@ def _strongly_gauduchon(pres, omega_n1):
     if linalg.for_backend(pres.backend).solve(matrix, rhs, len(sources)) is None:
         return False, "del omega^(n-1) is not delbar-exact over the invariant basis"
     return True, "del omega^(n-1) = delbar Gamma has an invariant solution"
-
-
-@dataclass
-class PluriclosedVerdict:
-    """del delbar-closedness plus a transversality certificate kind."""
-
-    closed: bool
-    transversality: object  # TransversalityVerdict
-    p: int
-
-    @property
-    def holds(self) -> bool:
-        from .positivity import CERTIFIED_POSITIVE, NOT_FALSIFIED
-
-        return self.closed and self.transversality.kind in (
-            CERTIFIED_POSITIVE,
-            NOT_FALSIFIED,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "closed": self.closed,
-            "transversality": self.transversality.to_json(),
-            "holds": self.holds,
-        }
-
-
-def is_p_pluriclosed(
-    pres: StructurePresentation,
-    f: InvariantForm,
-    p: int,
-    samples: int = 2000,
-    seed: int = 0,
-    tol: float | None = None,
-    certificate: str | None = None,
-) -> PluriclosedVerdict:
-    """del delbar f = 0 plus transversality of the real (p, p)-form f.
-
-    Transversality is sampled unless ``certificate`` names an analytic
-    reason (for instance ``"metric-power"`` when f is a power of a
-    positive-definite fundamental form).
-    """
-    from . import positivity
-
-    if f.bidegree() != (p, p):
-        raise ValueError(f"form must be homogeneous of bidegree ({p},{p})")
-    if not f.is_real(tol):
-        raise ValueError("form must be real")
-    closed = pres.del_delbar(f).is_zero(tol)
-    if certificate is not None:
-        verdict = positivity.certified(certificate)
-    else:
-        verdict = positivity.transversality_sample(f, samples=samples, seed=seed)
-    return PluriclosedVerdict(closed=closed, transversality=verdict, p=p)

@@ -121,9 +121,6 @@ class SimpleForm:
             [[complex(c) for c in row] for row in self.factors], dtype=complex
         )
 
-    def gram_det(self) -> float:
-        return float(_gram(_plucker(self.to_matrix().reshape(self.degree, self.n))))
-
     def to_json(self) -> dict:
         rows = [[scalars.field_of(c).to_json(c) for c in row] for row in self.factors]
         return {"n": self.n, "factors": rows}

@@ -276,6 +276,69 @@ class TestMetricFileMismatch:
                    self.identity(tmp_path, 3, "exact")).exit_code in (0, 1)
 
 
+FPS6_MEMBER = {"A": 1, "B": "1i", "C": 2, "D": -1, "E": "1+1i", "L": 1, "M": "1i"}
+FT8_MEMBER = {"a1": 1, "a2": "1+1i", "a3": 1, "a6": 2, "a8": -1, "a12": "1/2", "L3": "1i",
+              "M2": 1}
+ST10_MEMBER = {"a1": "1-1i", "a2": 1, "a3": "2i", "a4": 2, "b1": 1, "b2": "1/2", "b4": -1,
+               "c1": 3, "c4": "1i", "d4": 1, "L3": 1, "M2": "1i", "N1": 2, "S2": -1, "S3": "1/3"}
+
+
+def metric_file(tmp_path, n=3):
+    """The identity metric of rank n, or for n = 3 a positive-definite metric
+    with H12 and H23 nonzero."""
+    from geowb.metrics import HermitianMetric
+    from geowb.scalars import GaussRational as G
+
+    metric = HermitianMetric.identity(n)
+    if n == 3:
+        h12, h23 = G(Fraction(1, 2), Fraction(1, 3)), G(0, Fraction(1, 4))
+        metric = HermitianMetric([[2, h12, 0], [h12.conjugate(), 3, h23],
+                                  [0, h23.conjugate(), 1]])
+    return write_json(tmp_path / f"metric{n}.json", metric.to_json())
+
+
+class TestPsymplectic:
+    """Members of each family, closed and not, with the printed condition
+    pinned; the closing coefficient solves condition = rest - N conj(E)
+    (fps6) or rest - conj(N or P) a1 (ft8, st10).  fps6 runs on a
+    non-diagonal metric."""
+
+    @pytest.mark.parametrize("family, params, extra, code, condition", [
+        ("ft8", FT8_MEMBER, {}, 1, "1+27/8i"),
+        ("ft8", FT8_MEMBER, {"N": "1-27/8i"}, 0, "0"),
+        ("st10", ST10_MEMBER, {}, 1, "-5/3+3i"),
+        ("st10", ST10_MEMBER, {"P": "-7/3-2/3i"}, 0, "0"),
+        ("fps6", FPS6_MEMBER, {}, 1, "55/16+1i"),
+        ("fps6", FPS6_MEMBER, {"N": "39/32+71/32i"}, 0, "0"),
+    ], ids=["ft8-open", "ft8-closed", "st10-open", "st10-closed", "fps6-open", "fps6-closed"])
+    def test_members(self, tmp_path, family, params, extra, code, condition):
+        args = ["psymplectic", "--family", family,
+                "--params", write_json(tmp_path / "params.json", {**params, **extra})]
+        if family == "fps6":
+            args += ["--metric", metric_file(tmp_path)]
+        result = run(*args)
+        assert result.exit_code == code, result.output
+        p = {"fps6": 2, "ft8": 3, "st10": 4}[family]
+        assert result.output.splitlines() == [
+            f"family {family}, p = {p}",
+            f"{p}-symplectic: {'YES' if code == 0 else 'NO'} (closedness condition = "
+            f"{condition}; transversality: metric-power certificate)",
+            "some lambda closes the ansatz: True",
+        ]
+        payload = json.loads(run("--json", *args).output)
+        assert payload["closed"] == (code == 0)
+        assert payload["p"] == p and payload["closure"]["consistent"]
+
+    @pytest.mark.parametrize("family, n, params", [("ft8", 4, FT8_MEMBER),
+                                                   ("st10", 5, ST10_MEMBER)])
+    def test_a_metric_file_is_refused_outside_fps6(self, tmp_path, family, n, params):
+        result = run("psymplectic", "--family", family,
+                     "--params", write_json(tmp_path / "params.json", params),
+                     "--metric", metric_file(tmp_path, n))
+        assert result.exit_code == 2, result.output
+        assert f"the rank-{n} family condition is for the diagonal metric" in result.output
+
+
 class TestObstruct:
     def test_library(self):
         result = run("obstruct", "--library", "nakamura-iv-6-p2")
@@ -344,6 +407,24 @@ class TestObstruct:
                      "--mode", mode)
         assert result.exit_code == 1, result.output
         assert "candidates found: 0" in result.output
+
+    @pytest.mark.parametrize("sources", [
+        ["--library", "nakamura-iv-6-p2", "--search"],
+        ["--cert", "CERT", "--library", "nakamura-iv-6-p2"],
+        ["--cert", "CERT", "--search"],
+        ["--cert", "CERT", "--library", "nakamura-iv-6-p2", "--search"],
+    ], ids=["library-search", "cert-library", "cert-search", "all-three"])
+    def test_more_than_one_source_is_an_input_error(self, tmp_path, sources):
+        from geowb import catalog
+
+        key, cert = catalog.certificate_library()["nakamura-iv-6-p2"]
+        path = write_json(tmp_path / "c.json", dict(cert.to_json(), structure=key))
+        args = [path if a == "CERT" else a for a in sources]
+        result = run("obstruct", *args, "--structure", "nakamura-iv-6", "--p", "1",
+                     "--budget", "0")
+        assert result.exit_code == 2, result.output
+        assert "give one of --cert FILE, --library NAME and --search" in result.output
+        assert "certificate valid" not in result.output
 
     @pytest.mark.parametrize("budget", ["-5", "0"])
     def test_search_budget_below_one_is_an_input_error(self, budget):

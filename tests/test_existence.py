@@ -14,21 +14,23 @@ from suites import float_copy, member
 from geowb import catalog
 from geowb import existence
 from geowb.existence import (
+    FAMILIES,
     bott_chern_dimensions,
     certificate_search,
     closure_system,
     exact_simple_holomorphic_search,
-    fps_ansatz_basis,
+    invariant_ddbar_lemma_check,
+    verify_obstruction_certificate,
+)
+from family_formulas import (
     fps_psymplectic_condition,
     fps_skt_2symplectic_system,
+    fps_solution_circle,
     ft8_3symplectic_condition,
-    ft8_ansatz_basis,
     ft8_combined_system,
-    invariant_ddbar_lemma_check,
+    metric_from_letters,
     st10_4symplectic_condition,
-    st10_ansatz_basis,
     st10_combined_system,
-    verify_obstruction_certificate,
 )
 from geowb.forms import InvariantForm, Monomial, bidegree_basis
 from geowb.lie import PresentationError, StructurePresentation
@@ -220,17 +222,25 @@ def test_cohomology_refuses_what_the_calculus_cannot_serve(kind):
         classify(pres, HermitianMetric.identity(3))
 
 
-# ---- closed-form family conditions against the closure solver -------------
+# ---- closed-form family conditions against d Psi and the closure solver ---
+#
+# ``psymplectic`` prints the coefficient of d Psi at the family's monomial M
+# as its condition.  Each case checks, at generic and at closing
+# coefficients, that d Psi has no term outside M and conj(M) and that its
+# M-coefficient is the transcribed condition exactly.
 
 
-def fps6_case(rnd: random.Random):
+def fps6_case(rnd: random.Random, letters_of_metric=None):
     letters = {k: nonzero_gr(rnd) for k in "ABCDE"}
     pres = catalog.fps6(**letters)
-    r2, s2, t2 = (rnd.randint(3, 5) for _ in range(3))
-    u, v, w = (gr(rnd) * Fraction(1, 6) for _ in range(3))
-    metric = HermitianMetric.from_letters(r2, s2, t2, u, v, w)
+    if letters_of_metric is None:
+        r2, s2, t2 = (rnd.randint(3, 5) for _ in range(3))
+        u, v, w = (gr(rnd) * Fraction(1, 6) for _ in range(3))
+        letters_of_metric = (r2, s2, t2, u, v, w)
+    metric = metric_from_letters(*letters_of_metric)
     assert metric.is_positive_definite()
     fixed = form_power(fundamental_form(metric), 2)
+    r2, s2, t2, u, v, w = letters_of_metric
 
     def condition(c):
         return fps_psymplectic_condition(
@@ -241,7 +251,11 @@ def fps6_case(rnd: random.Random):
     def closing(c):
         return {"N": condition({**c, "N": 0}) / letters["E"].conjugate()}
 
-    return pres, 2, fixed, fps_ansatz_basis(), condition, closing
+    return pres, FAMILIES["fps6"], fixed, condition, closing
+
+
+def fps6_identity_case(rnd: random.Random):
+    return fps6_case(rnd, (1, 1, 1, 0, 0, 0))
 
 
 def ft8_case(rnd: random.Random):
@@ -255,7 +269,7 @@ def ft8_case(rnd: random.Random):
     def closing(c):
         return {"N": (condition({**c, "N": 0}) / a[0]).conjugate()}
 
-    return pres, 3, metric_power(pres, 3), ft8_ansatz_basis(), condition, closing
+    return pres, FAMILIES["ft8"], metric_power(pres, 3), condition, closing
 
 
 def st10_case(rnd: random.Random):
@@ -272,28 +286,33 @@ def st10_case(rnd: random.Random):
     def closing(c):
         return {"P": (condition({**c, "P": 0}) / a[0]).conjugate()}
 
-    return pres, 4, metric_power(pres, 4), st10_ansatz_basis(), condition, closing
+    return pres, FAMILIES["st10"], metric_power(pres, 4), condition, closing
 
 
 @pytest.mark.parametrize(
     "make_case, seed",
-    [(fps6_case, 21), (fps6_case, 22), (ft8_case, 23), (ft8_case, 24), (st10_case, 25)],
-    ids=["fps6-a", "fps6-b", "ft8-a", "ft8-b", "st10"],
+    [(fps6_case, 21), (fps6_case, 22), (fps6_identity_case, 26), (ft8_case, 23),
+     (ft8_case, 24), (st10_case, 25)],
+    ids=["fps6-a", "fps6-b", "fps6-identity", "ft8-a", "ft8-b", "st10"],
 )
 def test_family_formula_matches_closure_solver(make_case, seed):
     rnd = random.Random(seed)
-    pres, p, fixed, (basis, names), condition, closing = make_case(rnd)
-    solution = closure_system(pres, p, fixed, basis, names)
+    pres, family, fixed, condition, closing = make_case(rnd)
+    names = family.names
+    solution = closure_system(pres, family.p, fixed, family.basis, names)
     assert solution.consistent
-
-    def coefficients(c):
-        return [c[name] for name in names]
+    at = family.condition_at
+    pair = {at, Monomial(at.anti, at.holo)}
 
     generic = {name: gr(rnd) for name in names}
     closed = {**generic, **closing(generic)}
+    assert condition(generic) != 0
     assert condition(closed) == 0
     for c in (generic, closed):
-        assert solution.is_member(coefficients(c)) == (condition(c) == 0)
+        residual = solution.closure_residual([c[name] for name in names])
+        assert set(residual.terms) <= pair
+        assert residual.coeff(at) == condition(c)
+        assert residual.is_zero() == (condition(c) == 0)
 
     # every solver solution satisfies the formula and closes Psi
     particular = list(solution.particular)
@@ -301,7 +320,7 @@ def test_family_formula_matches_closure_solver(make_case, seed):
         [x + y for x, y in zip(particular, k)] for k in solution.kernel
     ]
     for s in solutions:
-        assert solution.is_member(s)
+        assert solution.closure_residual(s).is_zero()
         assert condition(dict(zip(names, s))) == 0
 
 
@@ -313,11 +332,13 @@ def test_family_formula_matches_closure_solver(make_case, seed):
 # each yields (system verdict, flag, closed).
 
 
-def solver_verdicts(pres, p, flag, ansatz, coefficients):
-    basis, names = ansatz
-    solution = closure_system(pres, p, metric_power(pres, p), basis, names)
-    member = solution.is_member([coefficients[name] for name in names])
-    return classify(pres, HermitianMetric.identity(pres.n))[flag], member
+def solver_verdicts(pres, family, flag, coefficients):
+    family = FAMILIES[family]
+    solution = closure_system(
+        pres, family.p, metric_power(pres, family.p), family.basis, family.names
+    )
+    residual = solution.closure_residual([coefficients[name] for name in family.names])
+    return classify(pres, HermitianMetric.identity(pres.n))[flag], residual.is_zero()
 
 
 def fps6_system_cases(rnd: random.Random):
@@ -332,7 +353,7 @@ def fps6_system_cases(rnd: random.Random):
         coefficients = {"L": L, "M": M, "N": n}
         yield (
             fps_skt_2symplectic_system(a, B, C, D, E, n),
-            *solver_verdicts(pres, 2, "skt", fps_ansatz_basis(), coefficients),
+            *solver_verdicts(pres, "fps6", "skt", coefficients),
         )
 
 
@@ -352,7 +373,7 @@ def ft8_system_cases(rnd: random.Random):
         coefficients = {**free, "M2": m2}
         yield (
             ft8_combined_system(letters, m2),
-            *solver_verdicts(pres, 3, "astheno", ft8_ansatz_basis(), coefficients),
+            *solver_verdicts(pres, "ft8", "astheno", coefficients),
         )
 
 
@@ -369,7 +390,7 @@ def st10_system_cases(rnd: random.Random):
     a[0] = rnd.choice([GaussRational(3, 1), GaussRational(-1, 3)]) * s
     c1 = rnd.choice([GaussRational(4 * s), GaussRational(0, -4 * s)])
     L3 = gr(rnd)
-    free = {name: gr(rnd) for name in st10_ansatz_basis()[1]}
+    free = {name: gr(rnd) for name in FAMILIES["st10"].names}
 
     def closing_p(c1):
         # closed: (3/2)(a4 + b4 + c4 + d4) = c1 conj(L3) + a1 conj(P)
@@ -382,7 +403,7 @@ def st10_system_cases(rnd: random.Random):
         pres = catalog.st10(*a, *b, *c_letters, *d)
         yield (
             st10_combined_system(a, b, c_letters, d, L3=L3, P=p),
-            *solver_verdicts(pres, 4, "astheno", st10_ansatz_basis(), coefficients),
+            *solver_verdicts(pres, "st10", "astheno", coefficients),
         )
 
 
@@ -412,7 +433,7 @@ def test_solution_circle_matches_the_fps_system(N, C, hits):
     # with A = D = 0 the closedness scalar fixes E = (C - B) / (2 conj(N)),
     # and the SKT identity then holds iff B lies on the circle of a = |N|^2
     a = N.abs2()
-    circle = existence.fps_solution_circle(a, C.re, C.im)
+    circle = fps_solution_circle(a, C.re, C.im)
     assert circle.exists == (a > Fraction(1, 2) and C != 0)
     (cx, cy), on = circle.center, 0
     for x in range(-6, 7):
@@ -475,7 +496,8 @@ class TestSimpleHolomorphicSearch:
 def test_exact_backend_stays_exact():
     pres = member("fps6", random.Random(31))
     assert pres.backend == EXACT
-    solution = closure_system(pres, 2, metric_power(pres, 2), *fps_ansatz_basis())
+    fps6 = FAMILIES["fps6"]
+    solution = closure_system(pres, 2, metric_power(pres, 2), fps6.basis, fps6.names)
     assert all(isinstance(x, GaussRational) for x in solution.particular)
     assert all(isinstance(x, GaussRational) for k in solution.kernel for x in k)
 

@@ -14,10 +14,10 @@ from geowb.metrics import (
     _strongly_gauduchon,
     form_power,
     fundamental_form,
-    is_p_pluriclosed,
     metric_power,
 )
 from geowb.scalars import EXACT, FLOAT, GaussRational
+from family_formulas import metric_from_letters, metric_letters
 
 
 def G(re=0, im=0):
@@ -73,7 +73,7 @@ class TestHermitianMetric:
     def test_minors_match_letter_inequalities(self):
         r2, s2, t2 = Fraction(2), Fraction(3), Fraction(1)
         u, v, w = G(0, Fraction(1, 2)), G(Fraction(1, 3)), G(1, -1)
-        metric = HermitianMetric.from_letters(r2, s2, t2, u, v, w)
+        metric = metric_from_letters(r2, s2, t2, u, v, w)
         m1, m2, m3 = metric.leading_minors()
         assert m1 == G(r2)
         assert m2 == G(r2 * s2 - u.abs2())
@@ -101,11 +101,11 @@ class TestHermitianMetric:
             assert minor == pytest.approx(np.linalg.det(h[:k, :k]), rel=1e-12)
 
     def test_letters_round_trip(self):
-        metric = HermitianMetric.from_letters(
+        metric = metric_from_letters(
             Fraction(4), Fraction(9), Fraction(1),
             u=G(1, 1), v=G(0, -2), w=G(Fraction(1, 2)),
         )
-        r2, s2, t2, u, v, w = metric.letters()
+        r2, s2, t2, u, v, w = metric_letters(metric)
         assert (r2, s2, t2) == (4, 9, 1)
         assert u == G(1, 1) and v == G(0, -2) and w == G(Fraction(1, 2))
 
@@ -125,7 +125,7 @@ class TestFundamentalForm:
     def test_letter_u_sign_convention(self):
         # H12 = -i u0 puts +u0/2 on a^{1 2b} and -conj(u0)/2 on a^{2 1b}
         u0 = G(2, 1)
-        metric = HermitianMetric.from_letters(10, 10, 10, u=u0)
+        metric = metric_from_letters(10, 10, 10, u=u0)
         omega = fundamental_form(metric)
         assert omega.coeff(Monomial.make([1], [2], 3)) == u0 * G(Fraction(1, 2))
         assert omega.coeff(Monomial.make([2], [1], 3)) == -u0.conjugate() * G(
@@ -168,7 +168,7 @@ class TestFormPower:
     def test_general_square_n3_full_expansion(self):
         r2, s2, t2 = Fraction(2), Fraction(3), Fraction(5)
         u, v, w = G(1, 1), G(0, 2), G(-1, 1)
-        metric = HermitianMetric.from_letters(r2, s2, t2, u, v, w)
+        metric = metric_from_letters(r2, s2, t2, u, v, w)
         omega = fundamental_form(metric)
         sq = form_power(omega, 2)
         half = G(Fraction(1, 2))
@@ -368,13 +368,9 @@ class TestClassify:
 
 class TestPluriclosed:
     def test_gauduchon_power_certificate(self):
-        pres = catalog.eta_beta5()
-        omega = fundamental_form(HermitianMetric.identity(5))
-        verdict = is_p_pluriclosed(
-            pres, form_power(omega, 4), 4, certificate="metric-power"
-        )
-        assert verdict.closed and verdict.holds
-        assert verdict.transversality.certificate == "metric-power"
+        # omega^4 of the identity metric on eta-beta-5 is del delbar-closed
+        metric = HermitianMetric.identity(5)
+        assert catalog.eta_beta5().del_delbar(metric_power(metric, 4)).is_zero()
 
     def test_st10_omega2_pluriclosed(self):
         av = [G(0)] * 7
@@ -386,22 +382,4 @@ class TestPluriclosed:
         av[3] = G(1)
         av[0] = G(1, 1)
         pres = catalog.st10(*[*av, *bv, *cv, *dv])
-        omega = fundamental_form(HermitianMetric.identity(5))
-        verdict = is_p_pluriclosed(
-            pres, form_power(omega, 2), 2, certificate="metric-power"
-        )
-        assert verdict.closed and verdict.holds
-
-    def test_rejects_non_real(self):
-        pres = torus(2)
-        f = wedge(
-            InvariantForm.generator(2, 1),
-            InvariantForm.generator(2, 2, conjugated=True),
-        )
-        with pytest.raises(ValueError):
-            is_p_pluriclosed(pres, f, 1)
-
-    def test_rejects_wrong_bidegree(self):
-        pres = torus(2)
-        with pytest.raises(ValueError):
-            is_p_pluriclosed(pres, InvariantForm.generator(2, 1), 1)
+        assert pres.del_delbar(metric_power(HermitianMetric.identity(5), 2)).is_zero()
