@@ -419,6 +419,11 @@ def obstruct(config, cert_path, structure, library_name, search, p_value, mode, 
     """Verify (or search for) a same-sign obstruction certificate."""
     if (cert_path is not None) + (library_name is not None) + search > 1:
         raise InputError("give one of --cert FILE, --library NAME and --search, not several")
+    if cert_path is not None or library_name is not None:
+        source = click.get_current_context().get_parameter_source
+        if any(source(name) is not click.core.ParameterSource.DEFAULT
+               for name in ("p_value", "mode", "budget")):
+            raise InputError("--p, --mode and --budget apply to --search only")
     if library_name is not None:
         lib = cat.certificate_library()
         if library_name not in lib:

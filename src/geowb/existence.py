@@ -18,15 +18,20 @@ there is no p-symplectic structure (pairing the equation against the
 transverse component of a closed form gives a positive integral of an
 exact form).  The ``delbar-del`` variant with beta of degree 2n - 2p - 2
 and the (n-p, n-p) part of del delbar beta excludes p-pluriclosed
-structures.  ``verify_obstruction_certificate`` re-computes the left-hand
-side exactly and checks the decomposition.
+structures.  ``certificate_search`` only proposes candidates; the one
+judge, ``verify_obstruction_certificate``, re-computes the left-hand side
+exactly and checks the decomposition.  Stokes' theorem gives the
+contradiction only when no invariant volume form is exact, on a unimodular
+algebra (``is_unimodular``: d = 0 in degree 2n - 1), so both routines and
+the simple-form search below refuse any other with ``PresentationError``.
 
 On a presentation with purely (2,0) structure equations (a complex-
 parallelizable quotient), existence of a p-structure of any of the three
 kinds is equivalent to the absence of a nonzero exact simple holomorphic
-(n-p, 0)-form; ``exact_simple_holomorphic_search`` decides this where the
-linear algebra is exact (q = 1, 2, n-1, n; q = 2 through the Pluecker
-quadric on a pencil) and verifies user certificates elsewhere.
+(n-p, 0)-form.  ``exact_simple_holomorphic_search`` asks ``is_decomposable``
+of a basis of the exact (q, 0)-forms, which decides q = 1, n-1 and n, and
+for q = 2 solves the Pluecker quadric on pencils of basis pairs; it
+verifies user certificates where that leaves the answer open.
 
 All cohomological statements here are invariant-level only and the
 reports say so: they concern the finite complex of invariant forms.  They
@@ -301,27 +306,66 @@ class CertificateReport:
         }
 
 
+def is_unimodular(pres: StructurePresentation, tol: float | None = None) -> bool:
+    """Whether d vanishes on the 2n monomials of degree 2n - 1.
+
+    Equivalently no invariant volume form is exact, which every Stokes
+    argument here needs; only a unimodular group has a lattice (Milnor 1976).
+    """
+    return _exact_volume_source(pres, tol) is None
+
+
+def _exact_volume_source(pres, tol):
+    """The first monomial of degree 2n - 1 whose d is nonzero, or None."""
+    n = pres.n
+    return next((m for m in _degree_basis(n, 2 * n - 1)
+                 if not pres.d_monomial(m).is_zero(tol)), None)
+
+
+def _require_unimodular(pres, tol=None) -> None:
+    """Refuse a presentation on which an invariant volume form is exact."""
+    mono = _exact_volume_source(pres, tol)
+    if mono is not None:
+        raise PresentationError(
+            f"presentation is not unimodular: d({mono}) = {pres.d_monomial(mono)} "
+            "is an exact volume form, so no Stokes argument applies"
+        )
+
+
+def _beta_degree(n: int, p: int, mode: str) -> int:
+    return 2 * n - 2 * p - 1 if mode == "d" else 2 * n - 2 * p - 2
+
+
+def _certificate_lhs(pres, p, mode, beta) -> InvariantForm:
+    """d beta, or the (n-p, n-p) part of del delbar beta."""
+    if mode == "d":
+        return pres.d(beta)
+    return pres.del_delbar(beta).project(pres.n - p, pres.n - p)
+
+
 def verify_obstruction_certificate(
     pres: StructurePresentation,
     cert: ObstructionCertificate,
     tol: float | None = None,
 ) -> CertificateReport:
-    """Check a certificate exactly and state its invariant-level conclusion."""
+    """Check a certificate exactly and state its invariant-level conclusion.
+
+    Raises ``PresentationError`` on a presentation that is not unimodular.
+    """
     n = pres.n
     p = cert.p
-    messages: list[str] = []
+    _require_unimodular(pres, tol)
+
+    def reject(message):
+        return CertificateReport(False, "", [message])
+
     if cert.mode not in ("d", "delbar-del"):
-        return CertificateReport(False, "", [f"unknown mode {cert.mode!r}"])
-    required = 2 * n - 2 * p - 1 if cert.mode == "d" else 2 * n - 2 * p - 2
-    deg = cert.beta.degree()
-    if deg != required:
-        return CertificateReport(
-            False,
-            "",
-            [f"beta must have total degree {required}, got {deg}"],
-        )
+        return reject(f"unknown mode {cert.mode!r}")
+    required = _beta_degree(n, p, cert.mode)
+    if cert.beta.degree() != required:
+        return reject(f"beta must have total degree {required}, got {cert.beta.degree()}")
     if cert.beta.n != n or cert.beta.backend != pres.backend:
-        return CertificateReport(False, "", ["beta rank/backend mismatch"])
+        return reject("beta rank/backend mismatch")
 
     field = scalars.field(pres.backend)
     signs = set()
@@ -329,49 +373,30 @@ def verify_obstruction_certificate(
     for coeff, sf in cert.decomposition:
         coeff = field.coerce(coeff)
         if not field.is_zero(coeff.imag, tol):
-            return CertificateReport(
-                False, "", [f"coefficient {field.format(coeff)} is not real"]
-            )
+            return reject(f"coefficient {field.format(coeff)} is not real")
         if field.is_zero(coeff, tol):
-            return CertificateReport(False, "", ["zero coefficient in decomposition"])
+            return reject("zero coefficient in decomposition")
         signs.add(1 if coeff.real > 0 else -1)
         psi_form = sf.to_form(pres.backend)
         if psi_form.terms and psi_form.bidegree() != (n - p, 0):
-            return CertificateReport(
-                False,
-                "",
-                [f"decomposition factor has bidegree {psi_form.bidegree()}, "
-                 f"expected ({n - p}, 0)"],
-            )
+            return reject(f"decomposition factor has bidegree {psi_form.bidegree()}, "
+                          f"expected ({n - p}, 0)")
         rhs = rhs + wedge(psi_form, psi_form.conjugate()).scale(coeff)
     if len(signs) > 1:
-        return CertificateReport(False, "", ["decomposition coefficients mix signs"])
+        return reject("decomposition coefficients mix signs")
 
-    if cert.mode == "d":
-        lhs = pres.d(cert.beta)
-    else:
-        lhs = pres.del_delbar(cert.beta).project(n - p, n - p)
-
+    lhs = _certificate_lhs(pres, p, cert.mode, cert.beta)
     if lhs.is_zero(tol):
-        return CertificateReport(
-            False, "", ["left-hand side vanishes; certificate carries no obstruction"]
-        )
+        return reject("left-hand side vanishes; certificate carries no obstruction")
     if not lhs.equals(rhs, tol):
         diff = lhs - rhs
         mono = next(iter(diff.terms))
-        return CertificateReport(
-            False,
-            "",
-            [
-                "decomposition mismatch; residual coefficient of "
-                f"{mono} is {field.format(diff.terms[mono])}"
-            ],
-        )
-    messages.append(
+        return reject("decomposition mismatch; residual coefficient of "
+                      f"{mono} is {field.format(diff.terms[mono])}")
+    return CertificateReport(True, cert.conclusion, [
         f"decomposition verified with {len(cert.decomposition)} simple block(s), "
         f"uniform sign {'+' if 1 in signs else '-'}"
-    )
-    return CertificateReport(True, cert.conclusion, messages)
+    ])
 
 
 def certificate_search(
@@ -383,68 +408,44 @@ def certificate_search(
 ) -> list[ObstructionCertificate]:
     """Bounded brute force over single-monomial beta with unit coefficients.
 
-    Tries beta = s * (basis monomial) for s in {1, i}; a hit is a beta
-    whose relevant differential is a same-sign combination of diagonal
-    blocks phi^I ^ phibar^I.  Only a limited certificate shape, but it is
-    the shape every catalogued obstruction takes.  ``p`` must lie in
-    1..n-1 and ``mode`` be ``"d"`` or ``"delbar-del"``; anything else
-    raises ``ValueError``.
+    Proposes beta = s * (basis monomial) for s in {1, i}, the first
+    ``budget`` of them, and keeps each whose relevant differential is a sum
+    of diagonal blocks phi^I ^ phibar^I that ``verify_obstruction_certificate``
+    accepts.  Only a limited certificate shape, but it is the shape every
+    catalogued obstruction takes.  ``p`` must lie in 1..n-1 and ``mode`` be
+    ``"d"`` or ``"delbar-del"``; anything else raises ``ValueError``.
     """
     n = pres.n
     if not 1 <= p <= n - 1:
         raise ValueError(f"p = {p} out of range 1..{n - 1} for rank {n}")
     if mode not in ("d", "delbar-del"):
         raise ValueError(f"mode must be 'd' or 'delbar-del', got {mode!r}")
-    required = 2 * n - 2 * p - 1 if mode == "d" else 2 * n - 2 * p - 2
-    found: list[ObstructionCertificate] = []
-    examined = 0
+    _require_unimodular(pres, tol)
+    required = _beta_degree(n, p, mode)
     field = scalars.field(pres.backend)
-    for bid_p in range(required + 1):
-        bid_q = required - bid_p
-        if bid_p > n or bid_q > n:
-            continue
-        for mono in bidegree_basis(n, bid_p, bid_q):
-            for scale in (field.one, field.i_power(1)):
-                if examined >= budget:
-                    return found
-                examined += 1
-                beta = InvariantForm(n, {mono: scale}, pres.backend)
-                cert = _diagonal_certificate(pres, p, mode, beta, tol)
-                if cert is not None:
-                    found.append(cert)
-    return found
+    candidates = (
+        InvariantForm(n, {mono: scale}, pres.backend)
+        for bid_p in range(required + 1)
+        for mono in bidegree_basis(n, bid_p, required - bid_p)
+        for scale in (field.one, field.i_power(1))
+    )
+    found = (_diagonal_certificate(pres, p, mode, beta, tol)
+             for beta in itertools.islice(candidates, max(budget, 0)))
+    return [cert for cert in found if cert is not None]
 
 
 def _diagonal_certificate(pres, p, mode, beta, tol):
-    n = pres.n
-    if mode == "d":
-        lhs = pres.d(beta)
-    else:
-        lhs = pres.del_delbar(beta).project(n - p, n - p)
-    if lhs.is_zero(tol):
+    """beta's certificate read off a nonzero left-hand side of diagonal
+    blocks phi^I ^ phibar^I, if the verifier accepts it; None otherwise."""
+    lhs = _certificate_lhs(pres, p, mode, beta)
+    if not lhs.terms or any(mono.holo != mono.anti for mono in lhs.terms):
         return None
-    field = scalars.field(pres.backend)
-    signs = set()
-    decomposition = []
-    for mono, coeff in lhs.terms.items():
-        if mono.holo != mono.anti:
-            return None
-        if mono.holo.bit_count() != n - p:
-            return None
-        if not field.is_zero(coeff.imag, tol):
-            return None
-        signs.add(1 if coeff.real > 0 else -1)
-        sf = SimpleForm.coordinate(
-            [i + 1 for i in range(n) if mono.holo & (1 << i)], n
-        )
-        decomposition.append((coeff, sf))
-    if len(signs) != 1:
-        return None
-    cert = ObstructionCertificate(
-        p=p, mode=mode, beta=beta, decomposition=tuple(decomposition)
+    decomposition = tuple(
+        (coeff, SimpleForm.coordinate(mono.holo_indices, pres.n))
+        for mono, coeff in lhs.terms.items()
     )
-    report = verify_obstruction_certificate(pres, cert, tol)
-    return cert if report.valid else None
+    cert = ObstructionCertificate(p=p, mode=mode, beta=beta, decomposition=decomposition)
+    return cert if verify_obstruction_certificate(pres, cert, tol).valid else None
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +483,13 @@ def exact_simple_holomorphic_search(
     Requires a complex-parallelizable presentation (every d phi^i purely
     (2,0)), where d of a (q-1, 0)-form is again (q, 0) and every invariant
     (q, 0)-form is holomorphic, so the image V = d(Lambda^{q-1,0}) is
-    exactly the space of exact holomorphic q-forms.  Existence of a simple
-    element of V is decided exactly for q in {1, 2, n-1, n}; q = 2 with
-    dim V = 2 goes through a gcd of binary quadrics (the Pluecker
-    relation on a pencil); larger middle-degree cases verify a supplied
-    certificate xi or stay undecided.
+    exactly the space of exact holomorphic q-forms.  ``is_decomposable`` of
+    each basis element of V decides q in {1, n-1, n}, where every nonzero
+    form is simple, and q = 2 with dim V = 1.  For q = 2 the pencils of basis
+    pairs follow, each through a gcd of binary quadrics (the Pluecker
+    relation), which decides dim V = 2.  Other cases verify a supplied
+    certificate xi or stay undecided.  Raises ``PresentationError`` on a
+    presentation that is not unimodular.
     """
     n = pres.n
     if not 1 <= q <= n:
@@ -497,6 +500,7 @@ def exact_simple_holomorphic_search(
                 f"presentation is not complex-parallelizable: d phi^{i} "
                 "has a component outside (2,0)"
             )
+    _require_unimodular(pres)
 
     sources = bidegree_basis(n, q - 1, 0)
     targets = bidegree_basis(n, q, 0)
@@ -509,59 +513,31 @@ def exact_simple_holomorphic_search(
 
     if xi is not None:
         return _verify_simple_certificate(pres, q, xi, d_matrix, targets, dim_v)
-
     if dim_v == 0:
         return SimpleSearchVerdict(
             "no-obstruction", "the image d(Lambda^{q-1,0}) is zero", 0
         )
-
-    if q in (1, n - 1, n):
-        # every nonzero form of degree 1, n-1 or n is simple
-        return SimpleSearchVerdict(
-            "obstruction",
-            f"every nonzero ({q},0)-form is simple in rank {n}",
-            dim_v,
-            xi=v_forms[0],
-        )
-
-    if q == 2:
-        if dim_v == 1:
-            sq = wedge(v_forms[0], v_forms[0])
-            if sq.is_zero():
-                return SimpleSearchVerdict(
-                    "obstruction", "the unique image line is simple", dim_v, xi=v_forms[0]
-                )
-            return SimpleSearchVerdict(
-                "no-obstruction",
-                "the unique image line fails xi ^ xi = 0",
-                dim_v,
-            )
-        if dim_v == 2:
-            return _pencil_search(pres, v_forms[0], v_forms[1], dim_v)
-        # bounded search: basis elements, then all pencils
-        for f in v_forms:
-            if wedge(f, f).is_zero():
-                return SimpleSearchVerdict(
-                    "obstruction", "an image basis element is simple", dim_v, xi=f
-                )
-        for f1, f2 in itertools.combinations(v_forms, 2):
-            verdict = _pencil_search(pres, f1, f2, dim_v)
-            if verdict.kind == "obstruction":
-                return verdict
-        return SimpleSearchVerdict(
-            "undecided",
-            "dim V > 2: pencil search found nothing; supply a certificate xi",
-            dim_v,
-        )
-
     for f in v_forms:
         if is_decomposable(f):
             return SimpleSearchVerdict(
                 "obstruction", "an image basis element is simple", dim_v, xi=f
             )
+    if q != 2:
+        return SimpleSearchVerdict(
+            "undecided", f"degree q = {q} is only certificate-checked; supply xi", dim_v
+        )
+    if dim_v == 1:
+        return SimpleSearchVerdict(
+            "no-obstruction", "the unique image line fails xi ^ xi = 0", dim_v
+        )
+    # V is the pencil itself when dim V = 2, so its verdict is final there
+    for f1, f2 in itertools.combinations(v_forms, 2):
+        verdict = _pencil_search(pres, f1, f2, dim_v)
+        if verdict.kind == "obstruction" or dim_v == 2:
+            return verdict
     return SimpleSearchVerdict(
         "undecided",
-        f"degree q = {q} is only certificate-checked; supply xi",
+        "dim V > 2: pencil search found nothing; supply a certificate xi",
         dim_v,
     )
 
@@ -594,12 +570,9 @@ def _pencil_search(pres, f1, f2, dim_v) -> SimpleSearchVerdict:
     """Simple elements of span{f1, f2} for (2,0)-forms, decided exactly.
 
     xi(x) = x f1 + f2 gives xi ^ xi = x^2 (f1^f1) + 2x (f1^f2) + (f2^f2);
-    a simple element exists iff the coefficient quadratics share a root
-    (or f1 itself is simple, the point at infinity)."""
-    if wedge(f1, f1).is_zero():
-        return SimpleSearchVerdict(
-            "obstruction", "pencil endpoint is simple", dim_v, xi=f1
-        )
+    f1 is not simple on entry, so the point at infinity is not a solution
+    and x^2 (f1^f1) keeps the quadratics nonzero; a simple element exists
+    iff they share a root."""
     a_form = wedge(f1, f1)
     b_form = wedge(f1, f2).scale(2)
     c_form = wedge(f2, f2)
@@ -611,10 +584,6 @@ def _pencil_search(pres, f1, f2, dim_v) -> SimpleSearchVerdict:
             poly.pop()
         if poly:
             polys.append(poly)
-    if not polys:
-        return SimpleSearchVerdict(
-            "obstruction", "every pencil element is simple", dim_v, xi=f2
-        )
     g = []
     for poly in polys:
         g = _poly_gcd(g, poly)

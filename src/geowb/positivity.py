@@ -21,8 +21,8 @@ positive outcomes are reported as ``not-falsified`` with the observed
 minimum.  Analytic certificates (metric powers, top-degree forms, the
 Om_a family below) are the only source of ``certified-positive`` verdicts.
 
-numpy is imported on first use, by the sampler, ``pairing_matrix``, the
-``SimpleForm`` matrix and Gram helpers and the falsifying Om_a witness.
+numpy is imported on first use, by the sampler, ``pairing_matrix`` and
+the falsifying Om_a witness.
 
 For n = 4 the (2, 0)-forms
 
@@ -113,13 +113,6 @@ class SimpleForm:
             terms = {Monomial.make([j], [], self.n): c for j, c in enumerate(row, start=1)}
             out = wedge(out, InvariantForm(self.n, terms, backend))
         return out
-
-    def to_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(
-            [[complex(c) for c in row] for row in self.factors], dtype=complex
-        )
 
     def to_json(self) -> dict:
         rows = [[scalars.field_of(c).to_json(c) for c in row] for row in self.factors]

@@ -433,6 +433,38 @@ class TestObstruct:
         assert result.exit_code == 2, result.output
         assert "--budget must be at least 1" in result.output
 
+    @pytest.mark.parametrize("source", ["library", "cert"])
+    @pytest.mark.parametrize("options", [
+        ["--p", "3"], ["--mode", "d"], ["--budget", "200"],
+        ["--p", "3", "--mode", "delbar-del", "--budget", "0"],
+    ], ids=["p", "mode", "budget", "all-three"])
+    def test_search_options_without_search_are_an_input_error(self, tmp_path, source, options):
+        from geowb import catalog
+
+        key, cert = catalog.certificate_library()["nakamura-iv-6-p2"]
+        path = write_json(tmp_path / "c.json", dict(cert.to_json(), structure=key))
+        args = ["--library", "nakamura-iv-6-p2"] if source == "library" else ["--cert", path]
+        result = run("obstruct", *args, *options)
+        assert result.exit_code == 2, result.output
+        assert "--p, --mode and --budget apply to --search only" in result.output
+        assert "certificate valid" not in result.output
+
+    def test_refuses_a_structure_that_is_not_unimodular(self, tmp_path):
+        from geowb import catalog
+
+        # d(phi^{2345} ^ phibar^{12345}) = 2 vol on nakamura-v-11
+        message = "not unimodular: d(phi^{2345}^phibar^{12345})"
+        result = run("obstruct", "--search", "--structure", "nakamura-v-11", "--p", "2")
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "candidates found" not in result.output
+        cert = catalog.certificate_library()["nakamura-v-5-p3"][1]
+        path = write_json(tmp_path / "c.json", dict(cert.to_json(), structure="nakamura-v-11"))
+        result = run("obstruct", "--cert", path)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "certificate valid" not in result.output
+
 
 @pytest.mark.parametrize("a, code", [("1+1i", 0), ("2i", 1), ("3/2-3/2i", 1), ("0", 0)])
 def test_complex_omega_a(a, code):

@@ -223,7 +223,7 @@ class TestSampling:
         verdict = transversality_sample(omega_a_form(G(3)), samples=2000, seed=1)
         w = verdict.witness
         raw = pairing(omega_a_form(G(3)).to_float(), w)
-        b = w.to_matrix()
+        b = np.array(w.factors, dtype=complex)
         gram_det = np.linalg.det(b @ b.conj().T).real
         assert abs(raw.real / gram_det - verdict.value) < 1e-8
 
@@ -317,7 +317,8 @@ class TestBatchedSampler:
         got = verdict.min_value if kind == NOT_FALSIFIED else verdict.value
         assert got == pytest.approx(value, rel=1e-12)
         if witness is not None:
-            assert np.allclose(verdict.witness.to_matrix(), witness, rtol=0, atol=1e-12)
+            factors = np.array(verdict.witness.factors, dtype=complex)
+            assert np.allclose(factors, witness, rtol=0, atol=1e-12)
 
     def test_a_witness_past_the_first_chunk(self):
         # at tol 4.52 the first falsifying draw lies in the second chunk:
@@ -328,7 +329,8 @@ class TestBatchedSampler:
         assert verdict.kind == kind == FALSIFIED
         assert verdict.samples == count > 64
         assert verdict.value == pytest.approx(value, rel=1e-12)
-        assert np.allclose(verdict.witness.to_matrix(), witness, rtol=0, atol=1e-12)
+        factors = np.array(verdict.witness.factors, dtype=complex)
+        assert np.allclose(factors, witness, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "name, expected",
