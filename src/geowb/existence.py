@@ -352,9 +352,14 @@ def verify_obstruction_certificate(
 
     Raises ``PresentationError`` on a presentation that is not unimodular.
     """
+    _require_unimodular(pres, tol)
+    return _check_certificate(pres, cert, tol)
+
+
+def _check_certificate(pres, cert, tol) -> CertificateReport:
+    """The verifier's checks, on a presentation already found unimodular."""
     n = pres.n
     p = cert.p
-    _require_unimodular(pres, tol)
 
     def reject(message):
         return CertificateReport(False, "", [message])
@@ -436,7 +441,8 @@ def certificate_search(
 
 def _diagonal_certificate(pres, p, mode, beta, tol):
     """beta's certificate read off a nonzero left-hand side of diagonal
-    blocks phi^I ^ phibar^I, if the verifier accepts it; None otherwise."""
+    blocks phi^I ^ phibar^I, if the verifier's checks accept it; None
+    otherwise.  The caller has gated ``pres`` as unimodular."""
     lhs = _certificate_lhs(pres, p, mode, beta)
     if not lhs.terms or any(mono.holo != mono.anti for mono in lhs.terms):
         return None
@@ -445,7 +451,7 @@ def _diagonal_certificate(pres, p, mode, beta, tol):
         for mono, coeff in lhs.terms.items()
     )
     cert = ObstructionCertificate(p=p, mode=mode, beta=beta, decomposition=decomposition)
-    return cert if verify_obstruction_certificate(pres, cert, tol).valid else None
+    return cert if _check_certificate(pres, cert, tol).valid else None
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,10 @@ def _indices(mask: int) -> tuple[int, ...]:
 def _merge_inversions(a: int, b: int) -> int:
     """Number of pairs (x in a, y in b) with x > y."""
     count = 0
-    y = 0
-    while b >> y:
-        if (b >> y) & 1:
-            count += (a >> (y + 1)).bit_count()
-        y += 1
+    while a:
+        low = a & -a
+        count += (b & (low - 1)).bit_count()
+        a ^= low
     return count
 
 
@@ -106,7 +105,7 @@ def wedge_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
     swaps += _merge_inversions(a.holo, b.holo)
     swaps += _merge_inversions(a.anti, b.anti)
     sign = -1 if swaps & 1 else 1
-    return Monomial(a.holo | b.holo, a.anti | b.anti), sign
+    return tuple.__new__(Monomial, (a.holo | b.holo, a.anti | b.anti)), sign
 
 
 def normalize_monomial(

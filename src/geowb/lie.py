@@ -9,10 +9,14 @@ equivalent to the Jacobi identity and suffices for ``d*d = 0`` everywhere;
 d, del and delbar are odd derivations given by tables of their values on
 the 2n generators, built once per presentation: ``d phi^i`` and
 ``d phibar^i`` for d, their (2,0) and (1,1) parts for del, their (1,1) and
-(0,2) parts for delbar.  One routine extends a table to monomials by the
-graded Leibniz rule; each presentation caches every monomial image it
-makes as a ``{Monomial: coefficient}`` dict, per operator, plus del delbar
-of a monomial built from the del and delbar images.  ``d``, ``del_``,
+(0,2) parts for delbar.  A table lists, per generator in canonical order
+(phi^1..phi^n, then phibar^1..phibar^n), the terms of its value as
+``(w, mask, c)``: the canonical word ``w = holo | anti << n``, the XOR
+``mask`` of ``(1 << k) - 1`` over the bits k of w, and the coefficient.
+One routine extends a table to monomials by the graded Leibniz rule on
+these words; each presentation caches every monomial image it makes as a
+``{Monomial: coefficient}`` dict, per operator, plus del delbar of a
+monomial built from the del and delbar images.  ``d``, ``del_``,
 ``delbar`` and ``del_delbar`` sum those images over a form's terms, and
 ``matrix`` reads them into the matrix of an operator, the package's one
 builder of operator matrices.  del and delbar need an *integrable*
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import scalars
-from .forms import InvariantForm, Monomial, wedge, wedge_monomials
+from .forms import InvariantForm, Monomial, wedge
 from .scalars import EXACT
 
 
@@ -61,23 +65,17 @@ class StructurePresentation:
         self.name = name
         self.backend = backend
         self._integrable = all(f.project(0, 2).is_zero() for f in dphi)
-        dphibar = [f.conjugate() for f in dphi]
+        dphibar = tuple(f.conjugate() for f in dphi)
 
-        def table(holo_values, anti_values):
-            # the values on phi^i and on phibar^i, keyed by i
-            return (
-                {i: f.terms for i, f in enumerate(holo_values, start=1)},
-                {i: f.terms for i, f in enumerate(anti_values, start=1)},
-            )
+        def table(values):
+            # (w, mask, c) per term of each value: w has two bits, so mask = w - 2 * low bit
+            return [[(w := h | a << n, w - 2 * (w & -w), c) for (h, a), c in f.terms.items()]
+                    for f in values]
 
         self._tables = {
-            "d": table(dphi, dphibar),
-            "del": table(
-                [f.project(2, 0) for f in dphi], [f.project(1, 1) for f in dphibar]
-            ),
-            "delbar": table(
-                [f.project(1, 1) for f in dphi], [f.project(0, 2) for f in dphibar]
-            ),
+            "d": table(dphi + dphibar),
+            "del": table([f.project(2, 0) for f in dphi] + [f.project(1, 1) for f in dphibar]),
+            "delbar": table([f.project(1, 1) for f in dphi] + [f.project(0, 2) for f in dphibar]),
         }
         # op(mono) as a {Monomial: nonzero coefficient} dict, per operator
         self._images = {op: {} for op in (*self._tables, "del_delbar")}
@@ -103,23 +101,32 @@ class StructurePresentation:
     def _leibniz(self, op: str, mono: Monomial) -> dict:
         """op(mono) = sum_t (-1)^t op(theta_t) ^ (mono without theta_t) over
         the generators theta_t of mono in canonical order (op(theta_t) is a
-        2-form, so it moves to the front without a sign)."""
-        holo_table, anti_table = self._tables[op]
-        steps = [
-            (holo_table[i], Monomial(mono.holo ^ (1 << (i - 1)), mono.anti))
-            for i in mono.holo_indices
-        ] + [
-            (anti_table[i], Monomial(mono.holo, mono.anti ^ (1 << (i - 1))))
-            for i in mono.anti_indices
-        ]
+        2-form, so it moves to the front without a sign).
+
+        theta_t is the t-th set bit ``low`` of mono's word, ``rest = word ^
+        low``.  A term (w, mask, c) of op(theta_t) with w & rest == 0 gives
+        (-1)^(t + popcount(rest & mask)) c at ``w | rest``: a generator g of
+        w passes the popcount(rest & ((1 << g) - 1)) generators of rest below
+        it, and parities add, so the XOR of w's prefix masks counts both.
+        Terms go in generator by generator, values in table order.
+        """
+        n, table = self.n, self._tables[op]
+        full, word = (1 << n) - 1, mono.holo | mono.anti << n
         terms: dict[Monomial, object] = {}
-        for t, (values, rest) in enumerate(steps):
-            for m, c in values.items():
-                product, sign = wedge_monomials(m, rest)
-                if sign == 0:
+        bits, t = word, 0
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            rest = word ^ low
+            for w, mask, c in table[low.bit_length() - 1]:
+                if w & rest:
                     continue
-                x = -c if (sign < 0) ^ (t & 1) else c
-                terms[product] = terms[product] + x if product in terms else x
+                p = w | rest
+                m = tuple.__new__(Monomial, (p & full, p >> n))
+                if (t + (rest & mask).bit_count()) & 1:
+                    c = -c
+                terms[m] = terms[m] + c if m in terms else c
+            t += 1
         return terms
 
     def _combine(self, op: str, terms) -> dict:

@@ -45,6 +45,17 @@ def member(key: str, rnd: random.Random) -> StructurePresentation:
     return entry.instantiate(**{p.name: nonzero() for p in entry.params})
 
 
+def fps6_product(first, second) -> StructurePresentation:
+    """The rank-6 product of two fps6 members, given by their letters."""
+    halves = [catalog.fps6(*first), catalog.fps6(*second)]
+    dphi = []
+    for offset, half in zip((0, 3), halves):
+        for f in half.dphi:
+            shifted = {Monomial(m.holo << offset, m.anti << offset): c for m, c in f.terms.items()}
+            dphi.append(InvariantForm(6, shifted))
+    return StructurePresentation(6, dphi, name="fps6-x-fps6")
+
+
 def float_copy(pres: StructurePresentation) -> StructurePresentation:
     return StructurePresentation(
         pres.n, [f.to_float() for f in pres.dphi], name=pres.name, backend=FLOAT
@@ -320,6 +331,40 @@ def dense_matrix(images, targets):
         for m, c in f.terms.items():
             out[row_of[m]][j] = c
     return out
+
+
+def generator_word(mono: Monomial) -> list[tuple[str, int]]:
+    """The generators of a monomial in canonical order, tagged for
+    ``normalize_monomial``."""
+    return [("h", i) for i in mono.holo_indices] + [("a", i) for i in mono.anti_indices]
+
+
+def leibniz_by_definition(pres: StructurePresentation, op: str, mono: Monomial) -> dict:
+    """op(mono) for op in "d", "del", "delbar", from its definition.
+
+    The sum over the generators theta_t of mono, in canonical order, of
+    (-1)^t op(theta_t) ^ (mono without theta_t).  op(theta) is d phi^i, or
+    its conjugate for phibar^i, projected for del and delbar to the
+    bidegree of theta plus (1, 0) or (0, 1).  Each product's sign is that
+    of sorting its generator word by ``normalize_monomial``.  Returns the
+    nonzero ``{Monomial: coefficient}`` terms: a reference that shares no
+    code with the presentation's tables or with ``wedge_monomials``.
+    """
+    word = generator_word(mono)
+    out: dict[Monomial, object] = {}
+    for t, (kind, i) in enumerate(word):
+        value = pres.dphi[i - 1] if kind == "h" else pres.dphi[i - 1].conjugate()
+        if op != "d":
+            p, q = (1, 0) if kind == "h" else (0, 1)
+            value = value.project(p + (op == "del"), q + (op == "delbar"))
+        rest = word[:t] + word[t + 1:]
+        for m, c in value.terms.items():
+            product, sign = normalize_monomial(generator_word(m) + rest, pres.n)
+            if sign == 0:
+                continue
+            x = -c if (sign < 0) ^ (t % 2 == 1) else c
+            out[product] = out[product] + x if product in out else x
+    return {m: c for m, c in out.items() if c}
 
 
 def ddbar_lemma_by_definition(pres: StructurePresentation, p: int, q: int) -> bool:

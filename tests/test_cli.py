@@ -366,15 +366,16 @@ class TestObstruct:
         from geowb import catalog, existence
 
         calls = []
-        original = existence.verify_obstruction_certificate
+        original = existence._check_certificate
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(existence, "verify_obstruction_certificate", counting)
+        monkeypatch.setattr(existence, "_check_certificate", counting)
         found = existence.certificate_search(catalog.get("nakamura-iv-6"), 2, mode)
         in_search = len(calls)
+        assert in_search > 0
         result = run("obstruct", "--search", "--structure", "nakamura-iv-6", "--p", "2",
                      "--mode", mode)
         assert result.exit_code == (0 if found else 1), result.output

@@ -655,6 +655,22 @@ class TestCertificateSearch:
         certificate_search(catalog.get("nakamura-iv-6"), 2, budget=budget)
         assert len(examined) == budget
 
+    @pytest.mark.parametrize("mode", ["d", "delbar-del"])
+    def test_gates_once_per_search(self, monkeypatch, mode):
+        gates = []
+        original = existence._exact_volume_source
+
+        def counting(pres, tol):
+            gates.append(pres)
+            return original(pres, tol)
+
+        monkeypatch.setattr(existence, "_exact_volume_source", counting)
+        for key in ("nakamura-iv-6", "nakamura-v-5"):
+            pres = catalog.get(key)
+            before = len(gates)
+            found = certificate_search(pres, 2, mode)
+            assert len(gates) == before + 1, (key, len(found))
+
     @pytest.mark.parametrize("key, mode, p", [
         ("nakamura-iv-6", "d", 4), ("nakamura-iv-6", "delbar-del", 4),
         ("nakamura-v-11", "d", 0), ("nakamura-v-11", "delbar-del", 0),

@@ -17,6 +17,7 @@ from geowb.forms import (
     volume_form,
     volume_ratio,
     wedge,
+    wedge_monomials,
 )
 from geowb.scalars import EXACT, FLOAT, GaussRational, field
 
@@ -48,6 +49,30 @@ class TestNormalizeMonomial:
 
     def test_matches_bubble_sort(self):
         suites.normalize_matches_bubble_parity(300)
+
+
+def _wedge_pairs(n, sample):
+    """Every pair of rank-n monomials, or a seeded sample of them in which
+    half the second factors avoid the first's generators."""
+    monos = [Monomial(h, a) for h in range(1 << n) for a in range(1 << n)]
+    if sample is None:
+        yield from ((a, b) for a in monos for b in monos)
+        return
+    rnd = random.Random(n)
+    for k in range(sample):
+        a, b = rnd.choice(monos), rnd.choice(monos)
+        if k % 2:
+            b = Monomial(b.holo & ~a.holo, b.anti & ~a.anti)
+        yield a, b
+
+
+@pytest.mark.parametrize("n, sample", [(3, None), (6, 2000)])
+def test_wedge_monomials_matches_normalize(n, sample):
+    for a, b in _wedge_pairs(n, sample):
+        product, sign = wedge_monomials(a, b)
+        want = normalize_monomial(suites.generator_word(a) + suites.generator_word(b), n)
+        assert (product, sign) == want, (str(a), str(b))
+        assert sign == 0 or type(product) is Monomial
 
 
 class TestWedge:

@@ -331,3 +331,44 @@ def test_matrix_matches_images(key, floating):
                 got = nonzero(got)
                 assert got.keys() == want.keys(), (op, p, q)
                 assert all(field.close(got[k], want[k], 1e-12) for k in got), (op, p, q)
+
+
+# ---- the Leibniz tables against the definition ------------------------------
+
+
+LEIBNIZ_SAMPLE = {5: 32, 6: 128}  # seeded monomials per presentation of rank 5, 6
+
+LEIBNIZ_CASES = {
+    **{key: lambda key=key: catalog.get(key) for key in catalog.keys()},
+    **{
+        f"{key}-seeded": lambda key=key, seed=seed: suites.member(key, random.Random(seed))
+        for key, seed in (("fps6", 61), ("ft8", 62), ("st10", 63))
+    },
+    "fps6-x-fps6": lambda: suites.fps6_product(
+        [GaussRational(1, 1), GaussRational(0, 2), GaussRational(1),
+         GaussRational(2, -1), GaussRational(1, -1)],
+        [GaussRational(0), GaussRational(1, 1), GaussRational(0), GaussRational(-1),
+         GaussRational(1)],
+    ),
+    "nakamura-iv-6-float": lambda: suites.float_copy(catalog.get("nakamura-iv-6")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEIBNIZ_CASES))
+def test_leibniz_tables_match_the_definition(case):
+    # every monomial up to rank 4, a seeded sample above
+    pres = LEIBNIZ_CASES[case]()
+    n, field = pres.n, scalars.field(pres.backend)
+    monos = [Monomial(h, a) for h in range(1 << n) for a in range(1 << n)]
+    if n in LEIBNIZ_SAMPLE:
+        monos = random.Random(case).sample(monos, LEIBNIZ_SAMPLE[n])
+    for mono in monos:
+        unit = InvariantForm(n, {mono: 1}, pres.backend)
+        for op, got in (
+            ("d", pres.d_monomial(mono)),
+            ("del", pres.del_(unit)),
+            ("delbar", pres.delbar(unit)),
+        ):
+            want = suites.leibniz_by_definition(pres, op, mono)
+            assert all(field.close(got.coeff(m), want.get(m, field.zero), 1e-12)
+                       for m in got.terms.keys() | want.keys()), (op, str(mono))

@@ -54,17 +54,6 @@ def omega_of_entries(metric):
     return InvariantForm(n, terms, metric.backend)
 
 
-def fps6_product(first, second):
-    """The rank-6 product of two fps6 members, given by their letters."""
-    halves = [catalog.fps6(*first), catalog.fps6(*second)]
-    dphi = []
-    for offset, half in zip((0, 3), halves):
-        for f in half.dphi:
-            shifted = {Monomial(m.holo << offset, m.anti << offset): c for m, c in f.terms.items()}
-            dphi.append(InvariantForm(6, shifted))
-    return StructurePresentation(6, dphi, name="fps6-x-fps6")
-
-
 class TestHermitianMetric:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -290,7 +279,7 @@ class TestClassify:
         if which == "torus6":
             pres = torus(6)
         else:
-            pres = fps6_product(
+            pres = suites.fps6_product(
                 [G(1), G(0, -2), G(0, 1), G(0), G(0, 2)],
                 [G(0), G(1, 1), G(0), G(-1), G(1)],
             )
