@@ -256,6 +256,7 @@ def classify_metric(config, structure, metric_spec, params_path):
     """Evaluate the special-metric flags for a presentation and metric."""
     pres = _resolve_structure(structure, params_path)
     metric = _load_metric(metric_spec, pres)
+    # the one positive-definiteness decision, at --epsilon
     if not metric.is_positive_definite(config.epsilon):
         raise InputError("metric is not positive definite")
     report = metrics.classify(pres, metric, config.epsilon)
@@ -362,6 +363,7 @@ def psymplectic(config, family, params_path, metric_spec):
 
     pres = cat.get(family, **{k: params.get(k, GaussRational(0)) for k in letter_names})
     metric = _load_metric(metric_spec, pres)
+    # the one positive-definiteness decision (an exact metric: no tolerance)
     if not metric.is_positive_definite():
         raise InputError("metric is not positive definite")
     if not ansatz.any_metric and metric_spec not in ("diagonal", "identity"):

@@ -22,8 +22,8 @@ structures.  ``certificate_search`` only proposes candidates; the one
 judge, ``verify_obstruction_certificate``, re-computes the left-hand side
 exactly and checks the decomposition.  Stokes' theorem gives the
 contradiction only when no invariant volume form is exact, on a unimodular
-algebra (``is_unimodular``: d = 0 in degree 2n - 1), so both routines and
-the simple-form search below refuse any other with ``PresentationError``.
+algebra (d = 0 in degree 2n - 1), so both routines and the simple-form
+search below refuse any other (``StructurePresentation.require_unimodular``).
 
 On a presentation with purely (2,0) structure equations (a complex-
 parallelizable quotient), existence of a p-structure of any of the three
@@ -31,13 +31,14 @@ kinds is equivalent to the absence of a nonzero exact simple holomorphic
 (n-p, 0)-form.  ``exact_simple_holomorphic_search`` asks ``is_decomposable``
 of a basis of the exact (q, 0)-forms, which decides q = 1, n-1 and n, and
 for q = 2 solves the Pluecker quadric on pencils of basis pairs; it
-verifies user certificates where that leaves the answer open.
+verifies user certificates where that leaves the answer open.  It refuses
+a float presentation: a root's rationality is decided exactly.
 
 All cohomological statements here are invariant-level only and the
 reports say so: they concern the finite complex of invariant forms.  They
 need an integrable presentation with d*d = 0 and refuse any other with
-``lie.PresentationError``; there the del-delbar lemma at (p, q) is decided
-from two ranks that one elimination of a matrix of d gives.
+``StructurePresentation.require_double_complex``; there the del-delbar
+lemma at (p, q) is decided from two ranks of one elimination of d.
 
 Linear algebra: every matrix here is read off the presentation's cached
 monomial images by ``StructurePresentation.matrix`` and reduced by the
@@ -306,32 +307,6 @@ class CertificateReport:
         }
 
 
-def is_unimodular(pres: StructurePresentation, tol: float | None = None) -> bool:
-    """Whether d vanishes on the 2n monomials of degree 2n - 1.
-
-    Equivalently no invariant volume form is exact, which every Stokes
-    argument here needs; only a unimodular group has a lattice (Milnor 1976).
-    """
-    return _exact_volume_source(pres, tol) is None
-
-
-def _exact_volume_source(pres, tol):
-    """The first monomial of degree 2n - 1 whose d is nonzero, or None."""
-    n = pres.n
-    return next((m for m in _degree_basis(n, 2 * n - 1)
-                 if not pres.d_monomial(m).is_zero(tol)), None)
-
-
-def _require_unimodular(pres, tol=None) -> None:
-    """Refuse a presentation on which an invariant volume form is exact."""
-    mono = _exact_volume_source(pres, tol)
-    if mono is not None:
-        raise PresentationError(
-            f"presentation is not unimodular: d({mono}) = {pres.d_monomial(mono)} "
-            "is an exact volume form, so no Stokes argument applies"
-        )
-
-
 def _beta_degree(n: int, p: int, mode: str) -> int:
     return 2 * n - 2 * p - 1 if mode == "d" else 2 * n - 2 * p - 2
 
@@ -352,7 +327,7 @@ def verify_obstruction_certificate(
 
     Raises ``PresentationError`` on a presentation that is not unimodular.
     """
-    _require_unimodular(pres, tol)
+    pres.require_unimodular(tol)
     return _check_certificate(pres, cert, tol)
 
 
@@ -425,7 +400,7 @@ def certificate_search(
         raise ValueError(f"p = {p} out of range 1..{n - 1} for rank {n}")
     if mode not in ("d", "delbar-del"):
         raise ValueError(f"mode must be 'd' or 'delbar-del', got {mode!r}")
-    _require_unimodular(pres, tol)
+    pres.require_unimodular(tol)
     required = _beta_degree(n, p, mode)
     field = scalars.field(pres.backend)
     candidates = (
@@ -495,18 +470,19 @@ def exact_simple_holomorphic_search(
     pairs follow, each through a gcd of binary quadrics (the Pluecker
     relation), which decides dim V = 2.  Other cases verify a supplied
     certificate xi or stay undecided.  Raises ``PresentationError`` on a
-    presentation that is not unimodular.
+    presentation that is not complex-parallelizable, exact and unimodular.
     """
     n = pres.n
     if not 1 <= q <= n:
         raise ValueError(f"q must lie in 1..{n}")
-    for i, f in enumerate(pres.dphi, start=1):
-        if f.terms and not f.project(2, 0).equals(f):
-            raise ValueError(
-                f"presentation is not complex-parallelizable: d phi^{i} "
-                "has a component outside (2,0)"
-            )
-    _require_unimodular(pres)
+    if not pres.is_complex_parallelizable():
+        raise PresentationError("presentation is not complex-parallelizable: "
+                                "some d phi^i has a component outside (2,0)")
+    # a field that decides zero within a tolerance has no exact square roots
+    if scalars.field(pres.backend).tolerance(None) is not None:
+        raise PresentationError("presentation is not exact: the simple-form search "
+                                "decides exactly whether a root lies in Q[i]")
+    pres.require_unimodular()
 
     sources = bidegree_basis(n, q - 1, 0)
     targets = bidegree_basis(n, q, 0)
@@ -676,16 +652,6 @@ def _ddbar_image_rank(pres, p, q) -> int:
     return linalg.for_backend(pres.backend).rank(matrix)
 
 
-def _require_double_complex(pres: StructurePresentation) -> None:
-    """Refuse a presentation whose d is not del + delbar with d*d = 0."""
-    if not pres.is_integrable():
-        raise PresentationError(
-            "presentation is not integrable: some d phi^i has a (0,2) part"
-        )
-    if not pres.validate().ok:
-        raise PresentationError("presentation fails d*d = 0")
-
-
 def invariant_ddbar_lemma_check(pres: StructurePresentation, p: int, q: int) -> bool:
     """ker del ^ ker delbar ^ im d == im (del delbar) inside Lambda^{p,q}.
 
@@ -701,7 +667,7 @@ def invariant_ddbar_lemma_check(pres: StructurePresentation, p: int, q: int) -> 
     n = pres.n
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range for rank {n}")
-    _require_double_complex(pres)
+    pres.require_double_complex()
     la = linalg.for_backend(pres.backend)
     # the rows outside (p, q) first: one elimination of D passes rank D_out,
     # and fills in less than with the (p, q) rows first
@@ -715,7 +681,7 @@ def invariant_ddbar_lemma_check(pres: StructurePresentation, p: int, q: int) -> 
 def bott_chern_dimensions(pres: StructurePresentation) -> dict[tuple[int, int], int]:
     """dim (ker del ^ ker delbar / im del delbar) per bidegree,
     on the invariant complex."""
-    _require_double_complex(pres)
+    pres.require_double_complex()
     n = pres.n
     la = linalg.for_backend(pres.backend)
     out = {}

@@ -7,22 +7,27 @@ equivalent to the Jacobi identity and suffices for ``d*d = 0`` everywhere;
 ``validate`` checks exactly that.
 
 d, del and delbar are odd derivations given by tables of their values on
-the 2n generators, built once per presentation: ``d phi^i`` and
-``d phibar^i`` for d, their (2,0) and (1,1) parts for del, their (1,1) and
-(0,2) parts for delbar.  A table lists, per generator in canonical order
+the 2n generators.  A table lists, per generator in canonical order
 (phi^1..phi^n, then phibar^1..phibar^n), the terms of its value as
 ``(w, mask, c)``: the canonical word ``w = holo | anti << n``, the XOR
 ``mask`` of ``(1 << k) - 1`` over the bits k of w, and the coefficient.
-One routine extends a table to monomials by the graded Leibniz rule on
-these words; each presentation caches every monomial image it makes as a
-``{Monomial: coefficient}`` dict, per operator, plus del delbar of a
-monomial built from the del and delbar images.  ``d``, ``del_``,
-``delbar`` and ``del_delbar`` sum those images over a form's terms, and
-``matrix`` reads them into the matrix of an operator, the package's one
-builder of operator matrices.  del and delbar need an *integrable*
-presentation (no ``d phi^i`` has a (0,2) part: the Nijenhuis tensor
-vanishes), where d = del + delbar, and raise ``PresentationError`` on any
-other before any image is looked up; this is decided once, at build.
+One pass over the terms of the ``d phi^i`` and their conjugates builds all
+three tables, once per presentation, and reads off two facts: a nonzero
+(0,2) part of some ``d phi^i`` makes the presentation not *integrable*
+(the Nijenhuis tensor does not vanish), a nonzero part outside (2,0) not
+*complex-parallelizable*.  One routine extends a table to monomials by the
+graded Leibniz rule on these words; each presentation caches every
+monomial image it makes as a ``{Monomial: coefficient}`` dict, per
+operator, plus del delbar of a monomial built from the del and delbar
+images.  ``d``, ``del_``, ``delbar`` and ``del_delbar`` sum those images
+over a form's terms, and ``matrix`` reads them into the matrix of an
+operator, the package's one builder of operator matrices.
+
+The presentation owns every refusal of what it cannot serve, each a
+``PresentationError`` with one message per fact: del and delbar refuse a
+presentation that is not integrable (where d != del + delbar) before any
+image is looked up, ``require_double_complex`` also one with d*d != 0, and
+``require_unimodular`` one on which an invariant volume form is exact.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import scalars
-from .forms import InvariantForm, Monomial, wedge
+from .forms import InvariantForm, Monomial, bidegree_basis, wedge
 from .scalars import EXACT
 
 
 class PresentationError(ValueError):
-    """A presentation the computation cannot serve (not integrable, d*d != 0)."""
+    """A presentation the computation cannot serve (not integrable, d*d != 0,
+    not unimodular, not complex-parallelizable)."""
 
 
 class StructurePresentation:
@@ -64,19 +70,30 @@ class StructurePresentation:
         self.dphi = dphi
         self.name = name
         self.backend = backend
-        self._integrable = all(f.project(0, 2).is_zero() for f in dphi)
-        dphibar = tuple(f.conjugate() for f in dphi)
-
-        def table(values):
-            # (w, mask, c) per term of each value: w has two bits, so mask = w - 2 * low bit
-            return [[(w := h | a << n, w - 2 * (w & -w), c) for (h, a), c in f.terms.items()]
-                    for f in values]
-
-        self._tables = {
-            "d": table(dphi + dphibar),
-            "del": table([f.project(2, 0) for f in dphi] + [f.project(1, 1) for f in dphibar]),
-            "delbar": table([f.project(1, 1) for f in dphi] + [f.project(0, 2) for f in dphibar]),
-        }
+        is_zero = scalars.field(backend).is_zero
+        d, del_, delbar = ([[] for _ in range(2 * n)] for _ in range(3))
+        self._integrable = self._parallelizable = True
+        for i, f in enumerate(dphi):
+            for (h, a), c in f.terms.items():
+                p = h.bit_count()
+                # w has two bits, so mask = w - 2 * low bit; conj(c phi^I ^
+                # phibar^J) = (-1)^(|I| |J|) conj(c) phi^J ^ phibar^I
+                term = (w := h | a << n, w - 2 * (w & -w), c)
+                c_bar = -c.conjugate() if p == 1 else c.conjugate()
+                term_bar = (w := a | h << n, w - 2 * (w & -w), c_bar)
+                d[i].append(term)
+                d[n + i].append(term_bar)
+                if p == 2:  # (2,0): del of phi^i; its conjugate, delbar of phibar^i
+                    del_[i].append(term)
+                    delbar[n + i].append(term_bar)
+                elif p == 1:  # (1,1): delbar of phi^i; its conjugate, del of phibar^i
+                    delbar[i].append(term)
+                    del_[n + i].append(term_bar)
+                if p != 2 and not is_zero(c):
+                    self._parallelizable = False
+                    if p == 0:  # (0,2): in neither del nor delbar
+                        self._integrable = False
+        self._tables = {"d": d, "del": del_, "delbar": delbar}
         # op(mono) as a {Monomial: nonzero coefficient} dict, per operator
         self._images = {op: {} for op in (*self._tables, "del_delbar")}
 
@@ -162,9 +179,6 @@ class StructurePresentation:
     def d(self, f: InvariantForm) -> InvariantForm:
         return self._apply("d", f)
 
-    def is_integrable(self) -> bool:
-        return self._integrable
-
     def del_(self, f: InvariantForm) -> InvariantForm:
         """The (p+1, q) part of d on each (p, q) component."""
         return self._apply("del", f)
@@ -193,17 +207,46 @@ class StructurePresentation:
                 out[row_of[m]][j] = c
         return out
 
+    # ---- the facts a computation needs, and its refusals -----------------
+
+    def is_integrable(self) -> bool:
+        return self._integrable
+
+    def is_complex_parallelizable(self) -> bool:
+        """Whether every d phi^i is of type (2,0)."""
+        return self._parallelizable
+
+    def require_double_complex(self, tol: float | None = None) -> None:
+        """Refuse a presentation whose d is not del + delbar with d*d = 0."""
+        self._check("del_delbar")  # the integrability refusal
+        if not all(self.d(f).is_zero(tol) for f in self.dphi):
+            raise PresentationError("presentation fails d*d = 0")
+
+    def exact_volume_source(self, tol: float | None = None) -> Monomial | None:
+        """The first monomial of degree 2n - 1 whose d is nonzero, or None.
+
+        None means the algebra is unimodular: no invariant volume form is
+        exact, which every Stokes argument needs; only a unimodular group
+        has a lattice (Milnor 1976).
+        """
+        n = self.n
+        return next((m for m in bidegree_basis(n, n - 1, n) + bidegree_basis(n, n, n - 1)
+                     if not self.d_monomial(m).is_zero(tol)), None)
+
+    def require_unimodular(self, tol: float | None = None) -> None:
+        """Refuse a presentation on which an invariant volume form is exact."""
+        mono = self.exact_volume_source(tol)
+        if mono is not None:
+            raise PresentationError(
+                f"presentation is not unimodular: d({mono}) = {self.d_monomial(mono)} "
+                "is an exact volume form, so no Stokes argument applies"
+            )
+
     # ---- validation -------------------------------------------------------
 
     def validate(self, tol: float | None = None, exhaustive: bool = False):
-        residuals = {}
-        ok = True
-        for i in range(1, self.n + 1):
-            r = self.d(self.dphi[i - 1])
-            residuals[i] = r
-            if not r.is_zero(tol):
-                ok = False
-        integrable = self.is_integrable()
+        residuals = {i: self.d(f) for i, f in enumerate(self.dphi, start=1)}
+        ok = all(r.is_zero(tol) for r in residuals.values())
         warnings = []
         if ok and not is_J_nilpotent(self):
             warnings.append(
@@ -220,7 +263,7 @@ class StructurePresentation:
         return ValidationReport(
             name=self.name,
             ok=ok,
-            integrable=integrable,
+            integrable=self._integrable,
             residuals=residuals,
             warnings=warnings,
             exhaustive=exhaustive,

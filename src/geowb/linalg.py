@@ -1,9 +1,8 @@
 """Small linear algebra, one object per scalar backend.
 
 Matrices are lists of row lists of backend scalars (or their real parts),
-and ``for_backend(backend)`` returns the object that owns
-``pivot_columns``, ``rank``, ``leading_ranks``, ``solve`` and ``nullspace``
-over them:
+and ``for_backend(backend)`` returns the object that owns ``rank``,
+``leading_ranks``, ``solve``, ``nullspace`` and (exact only) ``pivot_columns``:
 
 * exact -- Gauss-Jordan elimination over Q[i] (or plain Fractions)
   through the module-level ``rref``; results are exact.
@@ -132,7 +131,7 @@ class ExactLinalg:
 
 
 class FloatLinalg:
-    """Numpy pivots, rank, solve and nullspace under the one rank rule."""
+    """Numpy rank, solve and nullspace under the one rank rule."""
 
     @staticmethod
     def _rank_of(singular_values) -> int:
@@ -140,17 +139,6 @@ class FloatLinalg:
             return 0
         cutoff = RANK_RTOL * max(1.0, float(singular_values[0]))
         return int((singular_values > cutoff).sum())
-
-    def pivot_columns(self, matrix) -> list[int]:
-        """The columns that raise the rank, scanned left to right."""
-        import numpy as np
-
-        a = np.array(matrix)
-        pivots: list[int] = []
-        for c in range(a.shape[1] if a.ndim == 2 else 0):
-            if self.rank(a[:, pivots + [c]]) > len(pivots):
-                pivots.append(c)
-        return pivots
 
     def rank(self, matrix) -> int:
         import numpy as np

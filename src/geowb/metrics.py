@@ -11,7 +11,9 @@ the exact backend), and the powers of omega straight off the table:
 
     omega^k = k! (i/2)^k (-1)^(k(k-1)/2) sum_{|I|=|J|=k} det H[I,J] phi^I ^ phibar^J
 
-(``metric_power``).  ``form_power``, the iterated wedge, stays for forms
+(``metric_power``), for any Hermitian H: positive definiteness is the
+caller's one decision, at its tolerance (``classify-metric`` at
+``--epsilon``).  ``form_power``, the iterated wedge, stays for forms
 that are not metric powers, and is the reference the tests compare with.
 
 Classifier flags (omega the fundamental form, n the rank):
@@ -35,7 +37,7 @@ from fractions import Fraction
 
 from . import linalg, scalars
 from .forms import InvariantForm, Monomial, bidegree_basis, wedge
-from .lie import PresentationError, StructurePresentation
+from .lie import StructurePresentation
 from .scalars import EXACT
 
 
@@ -167,12 +169,12 @@ def _minor_table(h, field) -> list[dict[tuple[int, int], object]]:
 
 
 def fundamental_form(metric: HermitianMetric) -> InvariantForm:
-    """omega = (i/2) sum H[j][k] phi^j ^ phibar^k (requires H > 0)."""
+    """omega = (i/2) sum H[j][k] phi^j ^ phibar^k."""
     return metric_power(metric, 1)
 
 
 def metric_power(metric: HermitianMetric, k: int) -> InvariantForm:
-    """omega^k of a positive-definite metric, read off its minors table.
+    """omega^k of a Hermitian metric, read off its minors table.
 
     omega^k = k! (i/2)^k (-1)^(k(k-1)/2) sum_{|I|=|J|=k} det H[I,J]
     phi^I ^ phibar^J, equal to ``form_power(fundamental_form(metric), k)``;
@@ -181,8 +183,6 @@ def metric_power(metric: HermitianMetric, k: int) -> InvariantForm:
     n = metric.n
     if not 0 <= k <= n:
         raise ValueError(f"power must be in 0..{n}")
-    if not metric.is_positive_definite():
-        raise ValueError("metric is not positive definite")
     sign = -1 if (k * (k - 1) // 2) & 1 else 1
     exact = scalars.field(EXACT).i_power(k) * Fraction(sign * math.factorial(k), 2**k)
     scale = scalars.field(metric.backend).coerce(exact)
@@ -235,10 +235,9 @@ def classify(
     metric: HermitianMetric,
     tol: float | None = None,
 ) -> MetricReport:
-    """Evaluate the special-metric conditions for this metric."""
-    report = pres.validate(tol)
-    if not report.ok:
-        raise PresentationError("presentation failed validation; classify refused")
+    """Evaluate the special-metric conditions for this metric; the
+    presentation refuses first what ``require_double_complex`` refuses."""
+    pres.require_double_complex(tol)
     if metric.n != pres.n or metric.backend != pres.backend:
         raise ValueError("metric and presentation must share rank and backend")
     n = pres.n

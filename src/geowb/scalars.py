@@ -26,8 +26,8 @@ What a field decides:
   ``format`` prints (``3/2``, ``2i``, ``1/2-3/4i``; a bare ``i`` is 1i);
 * ``is_zero(x, tol)`` -- for a scalar or a real part; ``close(a, b, tol)``;
   ``is_positive(x, tol)`` -- real and > 0;
-* ``sqrt(x)`` -- a square root in the field, None when there is none (on
-  the exact field: when x is not a square in Q[i]);
+* ``sqrt(x)`` -- on the exact field only: a square root in Q[i], None
+  when x is not a square there;
 * ``tolerance(tol)`` -- the tolerance a decision used: None on the exact
   field, ``tol`` or ``DEFAULT_EPS`` on the float field.
 
@@ -38,7 +38,6 @@ should stay on the exact backend.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from fractions import Fraction
@@ -422,9 +421,6 @@ class FloatField:
     def is_positive(self, x, tol: float | None = None) -> bool:
         eps = self.tolerance(tol)
         return abs(x.imag) <= eps and x.real > eps
-
-    def sqrt(self, value) -> complex:
-        return cmath.sqrt(complex(value))
 
 
 _EXACT_FIELD = ExactField()

@@ -367,6 +367,30 @@ def leibniz_by_definition(pres: StructurePresentation, op: str, mono: Monomial) 
     return {m: c for m, c in out.items() if c}
 
 
+def tables_by_definition(pres: StructurePresentation) -> dict:
+    """The d, del and delbar tables of ``StructurePresentation`` from their
+    definition: per generator in canonical order, the ``(w, mask, c)`` terms
+    of d phi^i and of its conjugate for d, of their (2,0) and (1,1) parts for
+    del, and of their (1,1) and (0,2) parts for delbar, each value built by
+    ``InvariantForm.conjugate`` and ``project``.  The construction the
+    presentation had before it read the tables off one pass over its
+    structure constants; the tests check that pass against it.
+    """
+    n = pres.n
+    dphi = list(pres.dphi)
+    dphibar = [f.conjugate() for f in dphi]
+
+    def table(values):
+        return [[(w := h | a << n, w - 2 * (w & -w), c) for (h, a), c in f.terms.items()]
+                for f in values]
+
+    return {
+        "d": table(dphi + dphibar),
+        "del": table([f.project(2, 0) for f in dphi] + [f.project(1, 1) for f in dphibar]),
+        "delbar": table([f.project(1, 1) for f in dphi] + [f.project(0, 2) for f in dphibar]),
+    }
+
+
 def ddbar_lemma_by_definition(pres: StructurePresentation, p: int, q: int) -> bool:
     """The invariant del-delbar lemma at (p, q) from its definition.
 

@@ -196,9 +196,9 @@ class TestUnservedStructuresAreInputErrors:
         self.refused(result, message)
 
     def test_classify_metric(self, tmp_path, kind):
-        doc, _ = UNSERVED[kind]
+        doc, message = UNSERVED[kind]
         result = run("classify-metric", write_json(tmp_path / "s.json", doc))
-        self.refused(result)
+        self.refused(result, message)
 
     def test_validate_reports_without_refusing(self, tmp_path, kind):
         doc, _ = UNSERVED[kind]
@@ -235,6 +235,16 @@ class TestClassifyMetric:
         payload = json.loads(result.output)
         assert payload["tolerance"] is None and payload["notes"] == []
         assert payload["flags"]["balanced"] and not payload["flags"]["kahler"]
+
+    @pytest.mark.parametrize("epsilon, code", [("1e-15", 0), ("1e-12", 2)])
+    def test_positive_definiteness_is_decided_once_at_epsilon(self, tmp_path, epsilon, code):
+        # diag(1, 1, 1e-13) is positive definite within 1e-15, not within 1e-12
+        h = [[{"re": (1e-13 if j == 2 else 1.0) if j == k else 0.0, "im": 0.0}
+              for k in range(3)] for j in range(3)]
+        path = write_json(tmp_path / "m.json", {"n": 3, "backend": "float", "H": h})
+        result = run("--epsilon", epsilon, "classify-metric", "s1-pi2", "--metric", path)
+        assert result.exit_code == code, result.output
+        assert ("metric is not positive definite" in result.output) == (code == 2)
 
     def test_float_key_names_the_epsilon(self):
         result = run("--json", "--epsilon", "1e-9", "classify-metric", "s1-pi2")

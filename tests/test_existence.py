@@ -12,7 +12,7 @@ import pytest
 
 import suites
 from suites import float_copy, member
-from geowb import catalog
+from geowb import catalog, linalg
 from geowb import existence
 from geowb.existence import (
     FAMILIES,
@@ -21,7 +21,6 @@ from geowb.existence import (
     closure_system,
     exact_simple_holomorphic_search,
     invariant_ddbar_lemma_check,
-    is_unimodular,
     verify_obstruction_certificate,
 )
 from family_formulas import (
@@ -491,7 +490,7 @@ class TestSimpleHolomorphicSearch:
         )
 
     def test_refuses_non_parallelizable(self):
-        with pytest.raises(ValueError, match="complex-parallelizable"):
+        with pytest.raises(PresentationError, match="complex-parallelizable"):
             exact_simple_holomorphic_search(catalog.fps6(C=1), 2)
 
 
@@ -531,13 +530,10 @@ SIMPLE_SEARCH_TABLE = {
 }
 
 
-def complex_parallelizable(pres: StructurePresentation) -> bool:
-    return all(f.project(2, 0).equals(f) for f in pres.dphi)
-
-
 def test_simple_search_table_covers_the_catalogue():
     keys = {key for key in catalog.keys()
-            if complex_parallelizable(pres := catalog.get(key)) and is_unimodular(pres)}
+            if (pres := catalog.get(key)).is_complex_parallelizable()
+            and pres.exact_volume_source() is None}
     assert keys == set(SIMPLE_SEARCH_TABLE)
 
 
@@ -568,7 +564,7 @@ def test_stokes_arguments_refuse_what_is_not_unimodular(routine):
     # d(phi^{2345} ^ phibar^{12345}) = 2 vol: with an exact volume form the
     # Stokes argument proves nothing
     pres = catalog.get("nakamura-v-11")
-    assert not is_unimodular(pres)
+    assert pres.exact_volume_source() is not None
     message = "not unimodular: d(phi^{2345}^phibar^{12345}) = (2) phi^{12345}^phibar^{12345}"
     with pytest.raises(PresentationError, match=re.escape(message)):
         STOKES_ROUTINES[routine](pres)
@@ -616,6 +612,75 @@ class TestPencil:
         assert is_decomposable(verdict.xi)
 
 
+# ---- one refusal table: each gated routine against each fact it requires ---
+
+
+# each fact a computation may need, a presentation that lacks only that
+# one, and the one message of its refusal
+FACTS = {
+    "not-integrable": (
+        REFUSED["not-integrable"],
+        "presentation is not integrable: some d phi^i has a (0,2) part",
+    ),
+    "d-squared-nonzero": (REFUSED["d-squared-nonzero"], "presentation fails d*d = 0"),
+    "not-unimodular": (
+        lambda: catalog.get("nakamura-v-11"),
+        "presentation is not unimodular: d(phi^{2345}^phibar^{12345}) = "
+        "(2) phi^{12345}^phibar^{12345} is an exact volume form, so no Stokes "
+        "argument applies",
+    ),
+    "not-complex-parallelizable": (
+        lambda: catalog.fps6(C=1),
+        "presentation is not complex-parallelizable: some d phi^i has a "
+        "component outside (2,0)",
+    ),
+    # the roots of this pencil are +-sqrt(2): FloatField has no exact square
+    # root to tell that they lie outside Q[i]
+    "not-exact": (
+        lambda: float_copy(pencil_presentation(2)),
+        "presentation is not exact: the simple-form search decides exactly "
+        "whether a root lies in Q[i]",
+    ),
+}
+
+DOUBLE_COMPLEX = ("not-integrable", "d-squared-nonzero")
+GATED = {
+    "bc-dims": (bott_chern_dimensions, DOUBLE_COMPLEX),
+    "ddbar-00": (lambda pres: invariant_ddbar_lemma_check(pres, 0, 0), DOUBLE_COMPLEX),
+    "ddbar-11": (lambda pres: invariant_ddbar_lemma_check(pres, 1, 1), DOUBLE_COMPLEX),
+    "classify": (lambda pres: classify(pres, HermitianMetric.identity(pres.n)), DOUBLE_COMPLEX),
+    "certificate-search": (lambda pres: certificate_search(pres, 2), ("not-unimodular",)),
+    "verify": (
+        lambda pres: verify_obstruction_certificate(
+            pres, catalog.certificate_library()["nakamura-v-5-p3"][1]
+        ),
+        ("not-unimodular",),
+    ),
+    "simple-search": (
+        lambda pres: exact_simple_holomorphic_search(pres, 2),
+        ("not-unimodular", "not-complex-parallelizable", "not-exact"),
+    ),
+}
+
+
+@pytest.mark.parametrize("routine, fact", [
+    (routine, fact) for routine, (_, facts) in GATED.items() for fact in facts
+])
+def test_each_gate_refuses_with_its_fact_before_any_elimination(monkeypatch, routine, fact):
+    call, _ = GATED[routine]
+    make, message = FACTS[fact]
+    pres = make()
+
+    def eliminate(*args):
+        raise AssertionError("linear algebra ran before the refusal")
+
+    monkeypatch.setattr(linalg, "rref", eliminate)
+    monkeypatch.setattr(linalg, "for_backend", eliminate)
+    with pytest.raises(PresentationError) as refusal:
+        call(pres)
+    assert str(refusal.value) == message
+
+
 # ---- certificate search ----------------------------------------------------
 
 
@@ -658,13 +723,13 @@ class TestCertificateSearch:
     @pytest.mark.parametrize("mode", ["d", "delbar-del"])
     def test_gates_once_per_search(self, monkeypatch, mode):
         gates = []
-        original = existence._exact_volume_source
+        original = StructurePresentation.exact_volume_source
 
-        def counting(pres, tol):
+        def counting(pres, tol=None):
             gates.append(pres)
             return original(pres, tol)
 
-        monkeypatch.setattr(existence, "_exact_volume_source", counting)
+        monkeypatch.setattr(StructurePresentation, "exact_volume_source", counting)
         for key in ("nakamura-iv-6", "nakamura-v-5"):
             pres = catalog.get(key)
             before = len(gates)

@@ -372,3 +372,53 @@ def test_leibniz_tables_match_the_definition(case):
             want = suites.leibniz_by_definition(pres, op, mono)
             assert all(field.close(got.coeff(m), want.get(m, field.zero), 1e-12)
                        for m in got.terms.keys() | want.keys()), (op, str(mono))
+
+
+# ---- the one-pass tables and facts against their definition -----------------
+
+
+def nearly_integrable():
+    """A float d phi^1 whose (0,2) coefficient 1e-13 is zero within the
+    default tolerance: integrable, as a projection decides it too."""
+    tiny = InvariantForm(2, {Monomial.make([], [1, 2], 2): 1e-13}, FLOAT)
+    return StructurePresentation(2, [tiny, InvariantForm.zero(2, FLOAT)], backend=FLOAT)
+
+
+TABLE_CASES = {
+    **{key: lambda key=key: catalog.get(key) for key in catalog.keys()},
+    **{
+        f"{key}-seeded": lambda key=key, seed=seed: suites.member(key, random.Random(seed))
+        for key, seed in (("fps6", 71), ("ft8", 72), ("st10", 73))
+    },
+    **{
+        f"{key}-float": lambda key=key: suites.float_copy(catalog.get(key))
+        for key in catalog.keys()
+        if catalog.entry(key).backend == EXACT and catalog.get(key).n <= 4
+    },
+    "non-integrable": non_integrable,
+    "nearly-integrable": nearly_integrable,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_tables_and_facts_match_their_definition(case):
+    pres = TABLE_CASES[case]()
+    # equal entry by entry, each entry's terms in the same order
+    assert pres._tables == suites.tables_by_definition(pres)
+    assert pres.is_integrable() == all(f.project(0, 2).is_zero() for f in pres.dphi)
+    assert pres.is_complex_parallelizable() == all(
+        f.project(2, 0).equals(f) for f in pres.dphi
+    )
+
+
+def test_construction_builds_no_form(monkeypatch):
+    dphis = [(pres.n, pres.dphi, pres.backend)
+             for pres in (catalog.get("eta-beta-5"), catalog.get("s1-pi2"), non_integrable())]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction built a form")
+
+    monkeypatch.setattr(InvariantForm, "project", refuse)
+    monkeypatch.setattr(InvariantForm, "conjugate", refuse)
+    for n, dphi, backend in dphis:
+        StructurePresentation(n, dphi, backend=backend)

@@ -127,10 +127,6 @@ class TestFundamentalForm:
             metric = random_pd_metric(rnd, rnd.randint(2, 4))
             assert fundamental_form(metric).is_real()
 
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            fundamental_form(HermitianMetric.diagonal([1, -1]))
-
 
 class TestFormPower:
     def test_power_zero_is_unit(self):
@@ -220,9 +216,14 @@ class TestFormPower:
         for k in range(4):
             assert metric_power(metric, k) == form_power(omega, k)
 
-    def test_metric_power_rejects_indefinite_and_out_of_range(self):
-        with pytest.raises(ValueError):
-            metric_power(HermitianMetric.diagonal([1, -1]), 1)
+    def test_metric_power_of_indefinite_metric(self):
+        # the minors formula holds for any Hermitian H; positive
+        # definiteness is the caller's decision
+        metric = HermitianMetric.diagonal([1, -1])
+        for k in range(3):
+            assert metric_power(metric, k) == form_power(fundamental_form(metric), k)
+
+    def test_metric_power_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             metric_power(HermitianMetric.identity(2), 3)
 

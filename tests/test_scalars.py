@@ -278,10 +278,6 @@ class TestDecisions:
     def test_exact_sqrt_outside_q_i(self, value):
         assert EXACT_FIELD.sqrt(value) is None
 
-    def test_float_sqrt(self):
-        assert FLOAT_FIELD.sqrt(-4) == 2j
-        assert FLOAT_FIELD.sqrt(2j) == pytest.approx(1 + 1j)
-
     def test_coerce(self):
         assert EXACT_FIELD.coerce("-1/2") == GaussRational(Fraction(-1, 2))
         with pytest.raises(TypeError, match="exact computation"):

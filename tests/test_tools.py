@@ -1,15 +1,28 @@
-"""``tools/bench_ab.py``'s records and summary, on canned run lines."""
+"""``tools/bench_ab.py``'s records and summary, on canned run lines, and
+``tools/dump_cli.py``'s refusal table."""
 
 import importlib.util
+import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "tools" / "bench_ab.py")
-bench_ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_ab)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dump_cli pins thread counts and drops GEOWB_SEED on import
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
+bench_ab = load_tool("bench_ab")
 
 
 def run_line(qps, p50, failed=0):
@@ -82,3 +95,15 @@ def test_failed_queries_are_bad_runs(failed):
     runs.append(bench_ab.record("fresh-classify", 35, "change", "change", 30.0,
                                 run_line(250.0, 2.7, failed)))
     assert bench_ab.bad_runs(runs) == ([runs[-1]] if failed else [])
+
+
+def test_refusal_table_has_no_internal_error(tmp_path, monkeypatch):
+    dump_cli = load_tool("dump_cli")
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    codes = dump_cli.dump_refusals(out)
+    lines = out.getvalue().splitlines()
+    assert [line.split()[1] for line in lines] == [label for label, _ in dump_cli.REFUSALS]
+    assert 3 not in codes, out.getvalue()
+    # the same metric is positive definite within 1e-15 and refused within 1e-12
+    assert codes[-2:] == [0, 2]

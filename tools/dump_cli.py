@@ -11,7 +11,14 @@ once with ``--json`` and once without, in process through
     <query digest> <kind>/<json|text> <exit code> <sha1 of stdout>
 
 or, with ``--stdout``, the stdout itself as a JSON string literal in place
-of its sha1.  Run it from the root of each of two checkouts (it imports
+of its sha1.  After them come the refusal lines: one per invocation of a
+fixed table of inputs that the commands must refuse or decide at a
+tolerance (``REFUSALS``), each
+
+    refusal <label> <exit code> <sha1 of stdout> <sha1 of stderr>
+
+or, with ``--stdout``, a JSON list of the stdout and the stderr in place
+of the two sha1s.  Run it from the root of each of two checkouts (it imports
 ``geowb`` from the checkout's ``src/``) and diff the two dumps: a change
 that keeps every verdict, evidence line and exit code gives identical
 dumps.  Sampled float output can only agree within a tolerance; compare
@@ -37,6 +44,43 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _rank3_document(*dphi) -> dict:
+    """d phi^i = the sum of the monomials (holo, anti) listed at position i."""
+    return {"n": 3, "dphi": [
+        {"n": 3, "terms": [{"holo": h, "anti": a, "re": "1", "im": "0"} for h, a in monos]}
+        for monos in dphi
+    ]}
+
+
+# input files of the refusal table: two structures the calculus cannot serve
+# (d phi^3 = phibar^{12} has a (0,2) part; d phi = (phi^{23}, phi^{12}, 0)
+# has d d phi^1 = phi^{123}) and the float metric diag(1, 1, 1e-13), positive
+# definite within 1e-15 and not within 1e-12
+REFUSAL_FILES = {
+    "not-integrable.json": _rank3_document([], [], [([], [1, 2])]),
+    "d-squared-nonzero.json": _rank3_document([([2, 3], [])], [([1, 2], [])], []),
+    "metric.json": {"n": 3, "backend": "float", "H": [
+        [{"re": (1e-13 if j == 2 else 1.0) if j == k else 0.0, "im": 0.0} for k in range(3)]
+        for j in range(3)
+    ]},
+}
+
+# (label, argv) of each refusal invocation
+REFUSALS = [
+    (f"{structure}/{args[0]}", [args[0], f"{structure}.json", *args[1:]])
+    for structure in ("not-integrable", "d-squared-nonzero")
+    for args in (["validate"], ["bc-dims"], ["ddbar-lemma", "--p", "1", "--q", "1"],
+                 ["classify-metric"])
+] + [
+    ("nakamura-v-11/obstruct", ["obstruct", "--search", "--structure", "nakamura-v-11",
+                                "--p", "2"]),
+] + [
+    (f"metric/epsilon-{epsilon}", ["--epsilon", epsilon, "classify-metric", "s1-pi2",
+                                   "--metric", "metric.json"])
+    for epsilon in ("1e-15", "1e-12")
+]
 
 
 def dump(workloads, names, seeds, out, stdout=False) -> int:
@@ -70,6 +114,29 @@ def dump(workloads, names, seeds, out, stdout=False) -> int:
     return count
 
 
+def dump_refusals(out, stdout=False) -> list[int]:
+    """Write the refusal table's input files into the working directory,
+    print one refusal line per invocation and return their exit codes."""
+    from click.testing import CliRunner
+
+    import geowb.cli
+
+    for name, doc in REFUSAL_FILES.items():
+        Path(name).write_text(json.dumps(doc))
+    runner = CliRunner()
+    codes = []
+    for label, args in REFUSALS:
+        result = runner.invoke(geowb.cli.main, args)
+        if stdout:
+            shown = json.dumps([result.stdout, result.stderr])
+        else:
+            shown = " ".join(hashlib.sha1(text.encode()).hexdigest()
+                             for text in (result.stdout, result.stderr))
+        print(f"refusal {label} {result.exit_code} {shown}", file=out)
+        codes.append(result.exit_code)
+    return codes
+
+
 def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
@@ -87,6 +154,7 @@ def main(argv=None) -> int:
         os.chdir(workdir)
         try:
             count = dump(workloads, names, args.seeds, sys.stdout, args.stdout)
+            count += len(dump_refusals(sys.stdout, args.stdout))
         finally:
             os.chdir(home)
     print(f"{count} invocations", file=sys.stderr)
