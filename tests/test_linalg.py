@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from geowb import catalog, linalg
-from geowb.forms import Monomial
+from geowb.existence import exact_simple_holomorphic_search
+from geowb.forms import Monomial, bidegree_basis
+from geowb.lie import PresentationError, StructurePresentation
 from geowb.scalars import EXACT, FLOAT, ZERO, GaussRational
 
 EXACT_LA = linalg.for_backend(EXACT)
@@ -268,3 +270,22 @@ def test_operator_matrix_columns_are_images():
         pres.matrix("d", sources, targets[1:])
     with pytest.raises(ValueError, match="unknown operator"):
         pres.matrix("dd", sources, targets)
+
+
+@pytest.mark.parametrize("key", ["nakamura-v-12", "eta-beta-5", "nakamura-iv-5"])
+def test_simple_search_agrees_on_float_copies(key):
+    exact = catalog.get(key)
+    floating = StructurePresentation(
+        exact.n, [f.to_float() for f in exact.dphi], backend=FLOAT
+    )
+    assert floating.is_complex_parallelizable() == exact.is_complex_parallelizable()
+    for q in range(1, exact.n + 1):
+        want = exact_simple_holomorphic_search(exact, q)
+        # the float copy spans the same image d(Lambda^{q-1,0}) ...
+        d_float = floating.matrix(
+            "d", bidegree_basis(exact.n, q - 1, 0), bidegree_basis(exact.n, q, 0)
+        )
+        assert FLOAT_LA.rank(d_float) == want.dim_image, q
+        # ... but a float square root always exists, so the search refuses it
+        with pytest.raises(PresentationError, match="not exact"):
+            exact_simple_holomorphic_search(floating, q)
