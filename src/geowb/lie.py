@@ -20,8 +20,8 @@ graded Leibniz rule on these words; each presentation caches every
 monomial image it makes as a ``{Monomial: coefficient}`` dict, per
 operator, plus del delbar of a monomial built from the del and delbar
 images.  ``d``, ``del_``, ``delbar`` and ``del_delbar`` sum those images
-over a form's terms, and ``matrix`` reads them into the matrix of an
-operator, the package's one builder of operator matrices.
+over a form's terms, and ``matrix`` reads them into the sparse rows of an
+operator's matrix, the package's one builder of operator matrices.
 
 The presentation owns every refusal of what it cannot serve, each a
 ``PresentationError`` with one message per fact: del and delbar refuse a
@@ -190,22 +190,20 @@ class StructurePresentation:
     def del_delbar(self, f: InvariantForm) -> InvariantForm:
         return self.del_(self.delbar(f))
 
-    def matrix(self, op: str, sources, targets) -> list[list]:
+    def matrix(self, op: str, sources, targets) -> list[dict]:
         """The matrix of ``op`` ("d", "del", "delbar" or "del_delbar") from
-        the span of the monomials ``sources`` to that of ``targets``.
-
-        Column j holds the coefficients of op(sources[j]) over ``targets``,
-        read off the cached monomial images; ``targets`` must hold every
-        monomial of those images (``KeyError`` otherwise).
+        the span of the monomials ``sources`` to that of ``targets``, as the
+        sparse rows of ``linalg``: row r maps j to the coefficient of
+        targets[r] in op(sources[j]), read off the cached images.  ``targets``
+        must hold every monomial of those images (``KeyError`` otherwise).
         """
         self._check(op)
-        zero = scalars.field(self.backend).zero
-        row_of = {m: r for r, m in enumerate(targets)}
-        out = [[zero] * len(sources) for _ in targets]
+        rows = [{} for _ in targets]
+        row_of = dict(zip(targets, rows))
         for j, mono in enumerate(sources):
             for m, c in self._image(op, mono).items():
-                out[row_of[m]][j] = c
-        return out
+                row_of[m][j] = c
+        return rows
 
     # ---- the facts a computation needs, and its refusals -----------------
 

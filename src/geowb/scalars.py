@@ -212,7 +212,7 @@ class GaussRational:
         return f"{re}{sign}{abs(im)}i"
 
 
-_FRACTION_ZERO = Fraction(0)  # the shared zero part; ``linalg`` skips it by identity
+_FRACTION_ZERO = Fraction(0)  # the shared zero part
 _new = object.__new__
 _gcd = math.gcd
 

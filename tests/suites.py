@@ -321,16 +321,45 @@ def bott_chern_torus_dimensions():
                 assert table[(p, q)] == math.comb(n, p) * math.comb(n, q)
 
 
-def dense_matrix(images, targets):
-    """Column j holds the coefficients of the form ``images[j]`` over the
-    monomials ``targets``: a reference builder that shares no code with
+def matrix_rows(images, targets):
+    """Row r is the ``{j: coefficient}`` dict of the monomial ``targets[r]``
+    in the forms ``images[j]``, nonzero coefficients only: the sparse rows of
+    ``linalg`` by a reference builder that shares no code with
     ``StructurePresentation.matrix``."""
     row_of = {m: r for r, m in enumerate(targets)}
-    out = [[0] * len(images) for _ in targets]
+    out = [{} for _ in targets]
     for j, f in enumerate(images):
         for m, c in f.terms.items():
-            out[row_of[m]][j] = c
+            if c:
+                out[row_of[m]][j] = c
     return out
+
+
+def dense(rows, ncols: int):
+    """Sparse rows as dense row lists, with 0 where a row stores no entry."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def dense_rref(matrix):
+    """Reference Gauss-Jordan on dense rows: (nonzero reduced rows, pivots)."""
+    rows = [list(r) for r in matrix]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv if x else x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b if b else a for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
 
 
 def generator_word(mono: Monomial) -> list[tuple[str, int]]:
@@ -398,7 +427,7 @@ def ddbar_lemma_by_definition(pres: StructurePresentation, p: int, q: int) -> bo
     has no component outside (p, q); the triple intersection
     ker del ^ ker delbar ^ im d is the kernel of [del; delbar] on them, and
     it is compared with del delbar(Lambda^{p-1,q-1}).  Every matrix comes
-    from forms, by ``dense_matrix``.
+    from forms, by ``matrix_rows``.
     """
     from geowb import linalg
     from geowb.existence import _degree_basis
@@ -410,11 +439,11 @@ def ddbar_lemma_by_definition(pres: StructurePresentation, p: int, q: int) -> bo
         return [InvariantForm(n, {m: 1}, backend) for m in basis]
 
     def matrix(images, p, q):
-        return dense_matrix(images, bidegree_basis(n, p, q))
+        return matrix_rows(images, bidegree_basis(n, p, q))
 
     source = _degree_basis(n, p + q - 1)
     target = _degree_basis(n, p + q)
-    d_matrix = dense_matrix([pres.d(f) for f in unit_forms(source)], target)
+    d_matrix = matrix_rows([pres.d(f) for f in unit_forms(source)], target)
     d_outside = [row for row, m in zip(d_matrix, target) if m.bidegree() != (p, q)]
     images = [
         pres.d(InvariantForm(n, dict(zip(source, k)), backend)).project(p, q)

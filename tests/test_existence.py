@@ -674,7 +674,8 @@ def test_each_gate_refuses_with_its_fact_before_any_elimination(monkeypatch, rou
     def eliminate(*args):
         raise AssertionError("linear algebra ran before the refusal")
 
-    monkeypatch.setattr(linalg, "rref", eliminate)
+    monkeypatch.setattr(linalg, "_echelon", eliminate)
+    monkeypatch.setattr(linalg, "_reduce", eliminate)
     monkeypatch.setattr(linalg, "for_backend", eliminate)
     with pytest.raises(PresentationError) as refusal:
         call(pres)

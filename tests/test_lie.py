@@ -4,7 +4,7 @@ import random
 import pytest
 
 import suites
-from geowb import catalog, scalars
+from geowb import catalog, linalg, scalars
 from geowb.existence import _degree_basis
 from geowb.forms import InvariantForm, Monomial, bidegree_basis, wedge
 from geowb.lie import (
@@ -125,7 +125,7 @@ class TestDolbeault:
         for sources in ([], [Monomial.make([1], [], 2)]):
             with pytest.raises(PresentationError, match="not integrable"):
                 pres.matrix(op, sources, [])
-        assert pres.matrix("d", [Monomial.make([1], [], 2)], [Monomial(0, 3)]) == [[1]]
+        assert pres.matrix("d", [Monomial.make([1], [], 2)], [Monomial(0, 3)]) == [{0: 1}]
 
     @pytest.mark.parametrize("key", catalog.keys())
     def test_del_and_delbar_are_the_bidegree_parts_of_d(self, key):
@@ -305,16 +305,13 @@ def _matrix_cases():
             yield key, True
 
 
-def nonzero(matrix) -> dict:
-    return {(r, j): x for r, row in enumerate(matrix) for j, x in enumerate(row) if x}
-
-
 @pytest.mark.parametrize("key,floating", list(_matrix_cases()))
 def test_matrix_matches_images(key, floating):
     pres = MATRIX_CASES[key]()
     if floating:
         pres = suites.float_copy(pres)
     n, field = pres.n, scalars.field(pres.backend)
+    la = linalg.for_backend(pres.backend)
     for p in range(n + 1):
         for q in range(n + 1):
             sources = bidegree_basis(n, p, q)
@@ -325,12 +322,16 @@ def test_matrix_matches_images(key, floating):
                 ("delbar", pres.delbar, bidegree_basis(n, p, q + 1)),
                 ("del_delbar", pres.del_delbar, bidegree_basis(n, p + 1, q + 1)),
             ):
-                want = nonzero(suites.dense_matrix([form_op(u) for u in units], targets))
+                want = suites.matrix_rows([form_op(u) for u in units], targets)
                 got = pres.matrix(op, sources, targets)
-                assert [len(row) for row in got] == [len(sources)] * len(targets)
-                got = nonzero(got)
-                assert got.keys() == want.keys(), (op, p, q)
-                assert all(field.close(got[k], want[k], 1e-12) for k in got), (op, p, q)
+                assert len(got) == len(targets)
+                assert all(x for row in got for x in row.values()), "a zero entry is stored"
+                assert [row.keys() for row in got] == [row.keys() for row in want], (op, p, q)
+                assert all(field.close(row[j], ref[j], 1e-12)
+                           for row, ref in zip(got, want) for j in row), (op, p, q)
+                if pres.backend == EXACT:
+                    reference = suites.dense_rref(suites.dense(got, len(sources)))[1]
+                    assert la.rank(got) == len(reference), (op, p, q)
 
 
 # ---- the Leibniz tables against the definition ------------------------------

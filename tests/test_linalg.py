@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from suites import dense, dense_rref
 from geowb import catalog, linalg
 from geowb.existence import exact_simple_holomorphic_search
 from geowb.forms import Monomial, bidegree_basis
@@ -31,25 +32,35 @@ def random_matrix(rnd: random.Random, m: int, k: int, rank: int):
     ]
 
 
+def sparse_rows(matrix):
+    """Dense row lists as the sparse rows of ``linalg``."""
+    return [{c: x for c, x in enumerate(row) if x} for row in matrix]
+
+
 def to_float(matrix):
-    return [[complex(x) for x in row] for row in matrix]
+    return [{c: complex(x) for c, x in row.items()} for row in matrix]
+
+
+def left_of(matrix, c):
+    """The columns of sparse rows left of column c."""
+    return [{j: x for j, x in row.items() if j < c} for row in matrix]
 
 
 def mat_vec(matrix, vector):
-    return [sum(a * x for a, x in zip(row, vector)) for row in matrix]
+    return [sum((a * vector[c] for c, a in row.items()), 0) for row in matrix]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_backends_agree_on_random_matrices(seed):
     rnd = random.Random(seed)
     m, k = rnd.randint(1, 6), rnd.randint(1, 6)
-    a = random_matrix(rnd, m, k, rnd.randint(0, min(m, k)))
+    a = sparse_rows(random_matrix(rnd, m, k, rnd.randint(0, min(m, k))))
     af = to_float(a)
     assert FLOAT_LA.rank(af) == EXACT_LA.rank(a)
     # the exact pivots are the columns that raise the rank of the columns before them
     assert EXACT_LA.pivot_columns(a) == [
         c for c in range(k)
-        if EXACT_LA.rank([row[:c + 1] for row in a]) > EXACT_LA.rank([row[:c] for row in a])
+        if EXACT_LA.rank(left_of(a, c + 1)) > EXACT_LA.rank(left_of(a, c))
     ]
     for lead in range(m + 1):
         want = (EXACT_LA.rank(a[:lead]), EXACT_LA.rank(a))
@@ -79,39 +90,18 @@ def test_backends_agree_on_random_matrices(seed):
 # ---- the sparse regime of operator matrices ------------------------------
 
 
-def dense_rref(matrix):
-    """Reference Gauss-Jordan on dense rows: (nonzero reduced rows, pivots)."""
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
-
-
-# zeros that are not the field's shared ZERO: a sparse elimination must
+# zeros stored in a row, as a cancellation leaves them: an elimination must
 # never store one or pivot on one
-COMPUTED_ZEROS = (GaussRational(1) - 1, Fraction(0), GaussRational(0, 0))
+COMPUTED_ZEROS = (GaussRational(1) - 1, Fraction(0), GaussRational(0, 0), ZERO, ZERO.re, 0)
 
 
 def sparse_matrix(rnd: random.Random, m: int, k: int, rank: int):
-    """An m x k matrix of rank ``rank``, about 5% nonzero, zeros of all kinds.
+    """m x k sparse rows of rank ``rank``, about 5% nonzero, with stored zeros.
 
     Base row t has a nonzero at its own column c_t and at most one more
     entry outside {c_1, ..., c_rank}, so the base rows are independent; the
-    other rows are scaled sums of one or two base rows.
+    other rows are scaled sums of one or two base rows.  Every row stores a
+    zero of some kind at two more columns, unless an entry is there.
     """
 
     def entry():
@@ -135,27 +125,27 @@ def sparse_matrix(rnd: random.Random, m: int, k: int, rank: int):
                 row[c] = row.get(c, ZERO) + scale * x  # may cancel to a computed zero
         rows.append(row)
     rnd.shuffle(rows)
-    dense = []
     for row in rows:
-        line = [ZERO] * k
         for c in rnd.sample(range(k), 2):
-            line[c] = rnd.choice(COMPUTED_ZEROS)
-        for c, x in row.items():
-            line[c] = x
-        dense.append(line)
-    return dense
+            row.setdefault(c, rnd.choice(COMPUTED_ZEROS))
+    return rows
 
 
 def real_and_imaginary_rows(matrix):
-    """The Fraction rows ``closure_system`` builds from a Q[i] matrix."""
-    return [[x.real for x in row] for row in matrix] + [[x.imag for x in row] for row in matrix]
+    """Fraction rows split from Q[i] rows, as ``closure_system`` splits them."""
+    return [{c: x.real for c, x in row.items()} for row in matrix] + [
+        {c: x.imag for c, x in row.items()} for row in matrix
+    ]
+
+
+SPARSE_COLUMNS = 30
 
 
 def sparse_cases():
     for seed in range(4):
         rnd = random.Random(100 + seed)
         rank = rnd.randint(8, 20)
-        a = sparse_matrix(rnd, 40, 30, rank)
+        a = sparse_matrix(rnd, 40, SPARSE_COLUMNS, rank)
         yield f"gauss-{seed}", a, rank
         yield f"fraction-{seed}", real_and_imaginary_rows(a), None
 
@@ -164,31 +154,51 @@ SPARSE_CASES = {name: (a, rank) for name, a, rank in sparse_cases()}
 
 
 @pytest.mark.parametrize("name", sorted(SPARSE_CASES))
-def test_sparse_rref_matches_dense_gauss_jordan(name):
+def test_forward_elimination_matches_dense_gauss_jordan(name):
     a, rank = SPARSE_CASES[name]
-    k = len(a[0])
-    nonzero = sum(1 for row in a for x in row if x)
-    assert nonzero <= 0.1 * len(a) * k
-    want_rows, want_pivots = dense_rref(a)
-    rows, pivots, sources = linalg.rref(a)
-    assert pivots == want_pivots
-    for lead in (1, len(a) // 4, len(a) // 2):
-        assert sum(s < lead for s in sources) == len(dense_rref(a[:lead])[1])
+    k = SPARSE_COLUMNS
+    assert sum(1 for row in a for x in row.values() if x) <= 0.1 * len(a) * k
+    assert any(not x for row in a for x in row.values()), "no stored zero"
+    before = [dict(row) for row in a]
+    full = dense(a, k)
+    want = dense_rref(full)[1]
     if rank is not None:
-        assert len(pivots) == rank
-    assert len(rows) == len(pivots)
-    for row, want, p in zip(rows, want_rows, pivots):
-        assert row[p] == 1
-        assert all(row.values()), "a zero entry is stored"
-        assert min(row) == p
-        assert [row.get(c, 0) for c in range(k)] == want
+        assert len(want) == rank
+    assert EXACT_LA.pivot_columns(a) == want
+    assert EXACT_LA.rank(a) == len(want)
+    # the pivots of the transpose are the rows that raise the rank of the rows
+    # before them
+    raising = dense_rref([list(column) for column in zip(*full)])[1]
+    assert len(raising) == len(want)
+    for lead in range(len(a) + 1):
+        assert EXACT_LA.leading_ranks(a, lead) == (sum(i < lead for i in raising), len(want))
+    tails, sources = linalg._echelon(a)
+    assert sorted(tails) == sorted(sources) == want
+    for p, tail in tails.items():
+        assert all(tail.values()), "a zero entry is stored"
+        assert min(tail, default=k) > p
+    assert a == before, "the input rows changed"
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_CASES))
+def test_sparse_rref_matches_dense_gauss_jordan(name):
+    a, _ = SPARSE_CASES[name]
+    k = SPARSE_COLUMNS
+    want_rows, want_pivots = dense_rref(dense(a, k))
+    tails = linalg._reduce(a)
+    assert sorted(tails) == want_pivots
+    for p, want in zip(want_pivots, want_rows):
+        tail = tails[p]
+        assert all(tail.values()), "a zero entry is stored"
+        assert min(tail, default=k) > p
+        assert [1 if c == p else tail.get(c, 0) for c in range(k)] == want
 
 
 @pytest.mark.parametrize("name", sorted(SPARSE_CASES))
 def test_sparse_nullspace_and_solve(name):
     a, _ = SPARSE_CASES[name]
     rnd = random.Random(name)
-    k = len(a[0])
+    k = SPARSE_COLUMNS
     rank = EXACT_LA.rank(a)
     kernel = EXACT_LA.nullspace(a, k)
     assert len(kernel) == k - rank
@@ -202,7 +212,7 @@ def test_sparse_nullspace_and_solve(name):
         c = list(b)
         c[i] += 1
         x = EXACT_LA.solve(a, c, k)
-        augmented_rank = len(dense_rref([row + [y] for row, y in zip(a, c)])[1])
+        augmented_rank = len(dense_rref([row + [y] for row, y in zip(dense(a, k), c)])[1])
         if augmented_rank > rank:
             assert x is None
             inconsistent += 1
@@ -212,45 +222,53 @@ def test_sparse_nullspace_and_solve(name):
 
 
 def test_rref_of_empty_and_zero_matrices():
-    assert linalg.rref([]) == ([], [], [])
-    assert linalg.rref([[], [], []]) == ([], [], [])
-    zeros = [[ZERO, ZERO.re, *COMPUTED_ZEROS, 0] for _ in range(5)]
-    assert linalg.rref(zeros) == ([], [], [])
+    for la in (EXACT_LA, FLOAT_LA):
+        assert la.rank([]) == 0
+    assert linalg._echelon([]) == ({}, {})
+    assert linalg._reduce([{}, {}, {}]) == {}
+    zeros = [dict(enumerate(COMPUTED_ZEROS)) for _ in range(5)]
+    assert linalg._echelon(zeros) == ({}, {})
+    assert linalg._reduce(zeros) == {}
     assert EXACT_LA.rank(zeros) == 0
+    assert EXACT_LA.leading_ranks(zeros, 3) == (0, 0)
     assert EXACT_LA.nullspace(zeros, 6) == [[int(i == j) for j in range(6)] for i in range(6)]
     assert EXACT_LA.solve(zeros, [ZERO] * 5, 6) == [0] * 6
     assert EXACT_LA.solve(zeros, [ZERO] * 4 + [GaussRational(0, 1)], 6) is None
 
 
 def test_rref_keeps_integer_input_exact():
-    rows, pivots, sources = linalg.rref([[2, 1], [4, 2]])
-    assert (rows, pivots, sources) == ([{0: 1, 1: Fraction(1, 2)}], [0], [0])
-    assert isinstance(rows[0][1], Fraction)
+    rows = [{0: 2, 1: 1}, {0: 4, 1: 2}]
+    assert linalg._echelon(rows) == ({0: {1: Fraction(1, 2)}}, {0: 0})
+    tails = linalg._reduce(rows)
+    assert tails == {0: {1: Fraction(1, 2)}}
+    assert isinstance(tails[0][1], Fraction)
+    assert EXACT_LA.nullspace(rows, 2) == [[Fraction(-1, 2), 1]]
 
 
 def test_float_rank_rule_is_relative_to_the_largest_singular_value():
     tiny = 0.5 * linalg.RANK_RTOL
-    assert FLOAT_LA.rank([[1.0, 0.0], [0.0, tiny]]) == 1
-    assert FLOAT_LA.rank([[1e3, 0.0], [0.0, 1e3 * tiny]]) == 1
+    assert FLOAT_LA.rank([{0: 1.0}, {1: tiny}]) == 1
+    assert FLOAT_LA.rank([{0: 1e3}, {1: 1e3 * tiny}]) == 1
     # below one the cutoff does not shrink further
-    assert FLOAT_LA.rank([[1e-4, 0.0], [0.0, 1e-4 * tiny]]) == 1
-    assert FLOAT_LA.rank([[1e-12]]) == 0
-    assert FLOAT_LA.solve([[1.0], [0.0]], [1.0, tiny], 1) is not None
-    assert FLOAT_LA.solve([[1.0], [0.0]], [1.0, 1e-6], 1) is None
+    assert FLOAT_LA.rank([{0: 1e-4}, {1: 1e-4 * tiny}]) == 1
+    assert FLOAT_LA.rank([{0: 1e-12}]) == 0
+    assert FLOAT_LA.solve([{0: 1.0}, {}], [1.0, tiny], 1) is not None
+    assert FLOAT_LA.solve([{0: 1.0}, {}], [1.0, 1e-6], 1) is None
 
 
 @pytest.mark.parametrize("la", [EXACT_LA, FLOAT_LA], ids=["exact", "float"])
 def test_empty_shapes(la):
     assert la.rank([]) == 0
-    assert la.rank([[], []]) == 0
+    assert la.rank([{}, {}]) == 0
+    assert la.leading_ranks([{}, {}], 1) == (0, 0)
     if la is EXACT_LA:
-        assert la.pivot_columns([[], []]) == []
+        assert la.pivot_columns([{}, {}]) == []
     assert la.solve([], [], 2) == [0, 0]
     assert la.nullspace([], 2) == [[1, 0], [0, 1]]
-    assert la.nullspace([[], []], 0) == []
+    assert la.nullspace([{}, {}], 0) == []
     # no unknowns: consistent exactly when the right-hand side is zero
-    assert la.solve([[], []], [0, 0], 0) == []
-    assert la.solve([[], []], [0, 1], 0) is None
+    assert la.solve([{}, {}], [0, 0], 0) == []
+    assert la.solve([{}, {}], [0, 1], 0) is None
 
 
 def test_unknown_backend():
@@ -262,10 +280,10 @@ def test_operator_matrix_columns_are_images():
     pres = catalog.fps6(E=1)  # d phi^3 = phi^12, d phi^1 = 0
     sources = [Monomial.make([3], [], 3), Monomial.make([1], [], 3)]
     targets = [Monomial.make([1, 2], [], 3), Monomial.make([1, 3], [], 3)]
-    matrix = pres.matrix("d", sources, targets)
-    assert matrix == [[1, 0], [0, 0]]
-    # empty entries are the field's shared zero, which rref skips by identity
-    assert matrix[1][0] is ZERO and matrix[0][1] is ZERO
+    # sparse rows: row r maps column j to the coefficient of targets[r] in
+    # d(sources[j]), and stores no zero
+    assert pres.matrix("d", sources, targets) == [{0: 1}, {}]
+    assert pres.matrix("d", sources[::-1], targets) == [{1: 1}, {}]
     with pytest.raises(KeyError):
         pres.matrix("d", sources, targets[1:])
     with pytest.raises(ValueError, match="unknown operator"):
