@@ -200,8 +200,12 @@ class StructurePresentation:
         self._check(op)
         rows = [{} for _ in targets]
         row_of = dict(zip(targets, rows))
+        cache = self._images[op]
         for j, mono in enumerate(sources):
-            for m, c in self._image(op, mono).items():
+            image = cache.get(mono)
+            if image is None:
+                image = self._image(op, mono)
+            for m, c in image.items():
                 row_of[m][j] = c
         return rows
 

@@ -10,7 +10,7 @@ evaluates that quantity exactly; ``pairing_matrix`` writes it as a
 Hermitian form T on the Pluecker coordinates of beta.
 ``transversality_sample`` searches for a violating beta with random draws,
 each refined by one coordinate-descent pass, SAMPLE_CHUNK draws at a time
-as one (chunk, n-p, n) stack, with one numpy svd/eigh call per step, the
+as one (chunk, n-p, n) stack: one shifted numpy eigh call per factor, the
 Pluecker minors by Laplace expansion and Gram determinants by Cauchy-Binet.
 Its seed contract: draw k is the k-th draw of
 ``numpy.random.default_rng(seed)`` whatever the chunking, and a falsified
@@ -245,10 +245,6 @@ def pairing_matrix(psi: InvariantForm):
     return subsets, t
 
 
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return a.swapaxes(-1, -2).conj()
-
-
 @functools.cache
 def _expansion(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(subsets, minor, sign): by Laplace along row r-1, the minor on the
@@ -307,42 +303,69 @@ def _sample_values(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return values
 
 
+def _orthonormal_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, independent) for a stack (batch, r, n), by Gram-Schmidt: where
+    ``independent`` holds, the rows of u are an orthonormal basis of the
+    span of the rows of a.  A row whose residual is at most n * eps times
+    its norm makes its draw dependent."""
+    import numpy as np
+
+    batch, r, n = a.shape
+    u = np.empty_like(a)
+    norms = np.linalg.norm(a, axis=-1)
+    independent = np.ones(batch, dtype=bool)
+    for i in range(r):
+        residual, norm = a[:, i], norms[:, i]
+        if i:
+            coeffs = u[:, :i].conj() @ residual[..., None]
+            residual = residual - (u[:, :i].swapaxes(-1, -2) @ coeffs)[..., 0]
+            norm = np.linalg.norm(residual, axis=-1)
+        ok = norm > norms[:, i] * (n * np.finfo(float).eps)
+        independent &= ok
+        u[:, i] = residual / np.where(ok, norm, 1)[:, None]
+    return u, independent
+
+
 def _refine_pass(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     """One coordinate-descent pass over a stack (batch, q, n) of draws:
     minimise each draw's Gram-normalised pairing over each factor in turn,
-    holding the others fixed.  A draw whose other factors are (nearly)
-    dependent keeps that factor."""
+    holding the others fixed.
+
+    For factor k, value(v) = v^H A v / gram_others with A = conj(m) and m
+    the pairing on the Pluecker vectors of b with factor k replaced by e_j.
+    A is Hermitian and vanishes on the span of the other factors: putting
+    a combination of them in row k zeroes every Pluecker minor.  So A maps
+    the orthogonal complement W of that span into itself, where the Gram
+    determinant is gram_others * |v|^2, and the minimiser is the bottom
+    eigenvector of A on W.  One ``eigh`` of A + shift * (the projector onto
+    the span) finds it: the shift, twice the entrywise abs-sum of A (1 when
+    A = 0), pushes the span above the spectrum of A, and scales with A so
+    that the eigenvector is as accurate as A's.  Dividing by gram_others
+    would not move an eigenvector, so the pass leaves it out.
+
+    A draw whose other factors are (nearly) dependent keeps factor k: where
+    gram_others is at most 1e-12, or a Gram-Schmidt residual of the other
+    factors is at most n * eps times its row's norm."""
     import numpy as np
 
-    batch, q, n = b.shape
+    q, n = b.shape[-2:]
     for k in range(q):
         others = np.delete(b, k, axis=-2)
         minors = _plucker(others)
-        gram_others = _gram(minors)  # exactly 1 when q = 1
-        keep = gram_others > 1e-12
-        if q == 1:
-            basis = np.broadcast_to(np.eye(n, dtype=complex), (batch, n, n))
-        else:
-            # null space of others.conj(), when its rank is q - 1: every
-            # singular value is above max * eps * n
-            _, sv, vh = np.linalg.svd(others.conj())
-            keep &= sv[:, -1] > sv[:, 0] * np.finfo(float).eps * n
-            basis = _adjoint(vh[:, q - 1:])
-        sel = np.flatnonzero(keep)
+        span, independent = _orthonormal_rows(others)
+        # gram_others is exactly 1, and span empty, when q = 1
+        sel = np.flatnonzero((_gram(minors) > 1e-12) & independent)
         if not sel.size:
             continue
-        basis = basis[sel]
         # row j of s: the Pluecker vector of b with factor k replaced by e_j
         s = _replaced_rows(minors[sel], n, q, k)
-        m = s @ t @ _adjoint(s)
-        # value(v) = v @ m @ conj(v) = v^H conj(m) v ; conj(m) is Hermitian
-        reduced = _adjoint(basis) @ m.conj() @ basis / gram_others[sel, None, None]
-        reduced = 0.5 * (reduced + _adjoint(reduced))
-        _, eigvecs = np.linalg.eigh(reduced)
-        v = (basis @ eigvecs[..., :1])[..., 0]
-        norm = np.linalg.norm(v, axis=-1)
-        moved = norm > 1e-12
-        b[sel[moved], k] = v[moved] / norm[moved, None]
+        a = s.conj() @ t.conj() @ s.swapaxes(-1, -2)  # conj(s t s^H)
+        shift = 2 * np.abs(a).sum(axis=(-2, -1))
+        shift[shift == 0] = 1
+        span = span[sel]
+        a += shift[:, None, None] * (span.swapaxes(-1, -2) @ span.conj())
+        _, eigvecs = np.linalg.eigh(a)
+        b[sel, k] = eigvecs[..., 0]
     return b
 
 

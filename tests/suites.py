@@ -502,3 +502,46 @@ def pairing_matrix_by_terms(psi: InvariantForm):
         value = complex(coeff) * sign * sig / vol_unit
         t[index[holo_c], index[anti_c]] += value
     return subsets, t
+
+
+def svd_refine_pass(b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``positivity._refine_pass`` by an SVD null-space basis: the body it
+    had before it used one shifted eigenproblem per factor.  For factor k,
+    the null space of conj(others) gives the directions orthogonal to the
+    other factors, kept only when the singular values show rank q - 1; the
+    pairing restricted to it is diagonalised by ``eigh``."""
+    from geowb.positivity import _gram, _plucker, _replaced_rows
+
+    def _adjoint(a):
+        return a.swapaxes(-1, -2).conj()
+
+    batch, q, n = b.shape
+    for k in range(q):
+        others = np.delete(b, k, axis=-2)
+        minors = _plucker(others)
+        gram_others = _gram(minors)  # exactly 1 when q = 1
+        keep = gram_others > 1e-12
+        if q == 1:
+            basis = np.broadcast_to(np.eye(n, dtype=complex), (batch, n, n))
+        else:
+            # null space of others.conj(), when its rank is q - 1: every
+            # singular value is above max * eps * n
+            _, sv, vh = np.linalg.svd(others.conj())
+            keep &= sv[:, -1] > sv[:, 0] * np.finfo(float).eps * n
+            basis = _adjoint(vh[:, q - 1:])
+        sel = np.flatnonzero(keep)
+        if not sel.size:
+            continue
+        basis = basis[sel]
+        # row j of s: the Pluecker vector of b with factor k replaced by e_j
+        s = _replaced_rows(minors[sel], n, q, k)
+        m = s @ t @ _adjoint(s)
+        # value(v) = v @ m @ conj(v) = v^H conj(m) v ; conj(m) is Hermitian
+        reduced = _adjoint(basis) @ m.conj() @ basis / gram_others[sel, None, None]
+        reduced = 0.5 * (reduced + _adjoint(reduced))
+        _, eigvecs = np.linalg.eigh(reduced)
+        v = (basis @ eigvecs[..., :1])[..., 0]
+        norm = np.linalg.norm(v, axis=-1)
+        moved = norm > 1e-12
+        b[sel[moved], k] = v[moved] / norm[moved, None]
+    return b

@@ -20,6 +20,7 @@ from geowb.positivity import (
     SimpleForm,
     TransversalityVerdict,
     _gram,
+    _orthonormal_rows,
     _plucker,
     _refine_pass,
     _replaced_rows,
@@ -183,6 +184,87 @@ class TestLaplaceKernels:
             assert np.allclose(s, det_minors(replaced), rtol=0, atol=1e-12)
 
 
+def indefinite_metric(n):
+    """``tridiagonal_metric(n)`` with its last diagonal entry -1: indefinite."""
+    rows = [list(row) for row in tridiagonal_metric(n).entries]
+    rows[-1][-1] = -1
+    return HermitianMetric(rows)
+
+
+INDEFINITE_SHAPES = [(4, 2), (4, 3), (5, 2), (5, 3)]
+
+
+def oracle_stacks(n, q, rng):
+    """A seeded (8, q, n) complex stack and a random Hermitian pairing on
+    its Pluecker coordinates.  When q > 1 the last two draws end in two
+    equal factors and in two factors dependent to 1e-14; when q > 2 the
+    other factors of the first factor are then dependent."""
+    b = rng.standard_normal((8, q, n)) + 1j * rng.standard_normal((8, q, n))
+    if q > 1:
+        b[-2, -1] = b[-2, -2]
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b[-1, -1] = (1 - 2j) * b[-1, -2] + 1e-14 * noise
+    size = math.comb(n, q)
+    h = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return b, h + h.conj().T
+
+
+ORACLE_SHAPES = [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 3)]
+
+
+class TestRefinePass:
+    """The shifted eigenproblem against the SVD null-space pass it replaced."""
+
+    @pytest.mark.parametrize("n, q", ORACLE_SHAPES)
+    def test_matches_the_svd_pass(self, n, q):
+        b, t = oracle_stacks(n, q, np.random.default_rng(400 * n + q))
+        got = _refine_pass(b.copy(), t)
+        ref = suites.svd_refine_pass(b.copy(), t)
+        # the same factors move: the rank rule keeps the same draws
+        moved = np.any(got != b, axis=-1)
+        assert np.array_equal(moved, np.any(ref != b, axis=-1))
+        if q > 2:
+            assert not moved[-2:, 0].any()
+        values, expected = _sample_values(got, t), _sample_values(ref, t)
+        assert np.all(np.isfinite(expected))
+        assert np.allclose(values, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, r", [(n, r) for n in range(3, 7) for r in (1, 2, 3) if r < n])
+    def test_orthonormal_rows(self, n, r):
+        rng = np.random.default_rng(600 * n + r)
+        a = rng.standard_normal((8, r, n)) + 1j * rng.standard_normal((8, r, n))
+        a[-1, -1] = 0
+        if r > 1:
+            a[-2, -1] = a[-2, 0]  # a repeated row leaves a rounding-size residual
+        u, independent = _orthonormal_rows(a)
+        dependent = 2 if r > 1 else 1
+        assert independent.tolist() == [True] * (8 - dependent) + [False] * dependent
+        u, a = u[independent], a[independent]
+        gram = u @ u.conj().swapaxes(-1, -2)
+        assert np.allclose(gram, np.eye(r), rtol=0, atol=1e-12)
+        # the same span: each row of a is its projection onto the rows of u
+        coeffs = a @ u.conj().swapaxes(-1, -2)
+        assert np.allclose(coeffs @ u, a, rtol=0, atol=1e-12)
+
+    def test_the_sampler_calls_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for make in BATCH_FORMS.values():
+            transversality_sample(make(), samples=64, seed=5)
+
+    @pytest.mark.parametrize("n, q", ORACLE_SHAPES)
+    def test_refined_factors_are_unit_and_orthogonal(self, n, q):
+        b, t = oracle_stacks(n, q, np.random.default_rng(500 * n + q))
+        got = _refine_pass(b[:-2].copy(), t)
+        # the last factor moved last: a unit vector orthogonal to the others
+        last = got[:, -1]
+        assert np.allclose(np.linalg.norm(last, axis=-1), 1, rtol=0, atol=1e-12)
+        inner = (got[:, :-1].conj() * last[:, None]).sum(axis=-1)
+        assert np.allclose(inner, 0, rtol=0, atol=1e-12)
+
+
 class TestSampling:
     def test_eta_beta5_not_falsified(self):
         psi = catalog.eta_beta5_three_kahler_form()
@@ -226,6 +308,23 @@ class TestSampling:
         b = np.array(w.factors, dtype=complex)
         gram_det = np.linalg.det(b @ b.conj().T).real
         assert abs(raw.real / gram_det - verdict.value) < 1e-8
+
+    @pytest.mark.parametrize("n, q", INDEFINITE_SHAPES)
+    def test_indefinite_witnesses_match_the_pairing(self, n, q):
+        # a witness is only defined up to a unit phase per factor, which the
+        # pairing and the Gram determinant both ignore
+        psi = metric_power(indefinite_metric(n), n - q)
+        falsified = 0
+        for seed in range(3):
+            verdict = transversality_sample(psi, samples=64, seed=seed)
+            if verdict.kind != FALSIFIED:
+                continue
+            falsified += 1
+            raw = pairing(psi.to_float(), verdict.witness)
+            b = np.array(verdict.witness.factors, dtype=complex)
+            gram_det = np.linalg.det(b @ b.conj().T).real
+            assert abs(raw.real / gram_det - verdict.value) < 1e-9
+        assert falsified
 
     def test_cone_property_on_shared_samples(self):
         # pairing_matrix is linear in psi, so every sampled value of a sum
@@ -341,6 +440,20 @@ class TestBatchedSampler:
         verdict = transversality_sample(BATCH_FORMS[name](), samples=130, seed=5)
         assert verdict.kind == NOT_FALSIFIED
         assert verdict.min_value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [Fraction(1, 10**12), 10**12])
+    @pytest.mark.parametrize("name", ["metric-power-n5q2", "eta-beta-5"])
+    def test_scaled_form_scales_the_minimum(self, name, scale):
+        # the shift that keeps the span of the other factors above the
+        # spectrum scales with the matrix, so no absolute size leaks in
+        psi = BATCH_FORMS[name]()
+        verdict = transversality_sample(psi, samples=130, seed=5)
+        scaled = transversality_sample(
+            psi.scale(scale), samples=130, seed=5, tol=float(scale) * FALSIFICATION_TOL
+        )
+        assert scaled.kind == verdict.kind == NOT_FALSIFIED
+        expected = float(scale) * verdict.min_value
+        assert scaled.min_value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_samples_is_a_python_int(self):
         verdict = transversality_sample(indefinite_square(), samples=130, seed=5)
