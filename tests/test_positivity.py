@@ -302,29 +302,21 @@ class TestSampling:
         assert v1.to_json() == v2.to_json()
 
     def test_witness_value_matches_exact_pairing(self):
-        verdict = transversality_sample(omega_a_form(G(3)), samples=2000, seed=1)
-        w = verdict.witness
-        raw = pairing(omega_a_form(G(3)).to_float(), w)
-        b = np.array(w.factors, dtype=complex)
-        gram_det = np.linalg.det(b @ b.conj().T).real
-        assert abs(raw.real / gram_det - verdict.value) < 1e-8
-
-    @pytest.mark.parametrize("n, q", INDEFINITE_SHAPES)
-    def test_indefinite_witnesses_match_the_pairing(self, n, q):
-        # a witness is only defined up to a unit phase per factor, which the
+        # Om_3 and the indefinite metric powers of every (n, q) stratum; a
+        # witness is only defined up to a unit phase per factor, which the
         # pairing and the Gram determinant both ignore
-        psi = metric_power(indefinite_metric(n), n - q)
-        falsified = 0
-        for seed in range(3):
-            verdict = transversality_sample(psi, samples=64, seed=seed)
-            if verdict.kind != FALSIFIED:
-                continue
-            falsified += 1
+        runs = [(omega_a_form(G(3)), 2000, 1)] + [
+            (metric_power(indefinite_metric(n), n - q), 64, seed)
+            for n, q in INDEFINITE_SHAPES
+            for seed in range(3)
+        ]
+        for psi, samples, seed in runs:
+            verdict = transversality_sample(psi, samples=samples, seed=seed)
+            assert verdict.kind == FALSIFIED
             raw = pairing(psi.to_float(), verdict.witness)
             b = np.array(verdict.witness.factors, dtype=complex)
             gram_det = np.linalg.det(b @ b.conj().T).real
             assert abs(raw.real / gram_det - verdict.value) < 1e-9
-        assert falsified
 
     def test_cone_property_on_shared_samples(self):
         # pairing_matrix is linear in psi, so every sampled value of a sum
